@@ -35,15 +35,6 @@ pub struct FuzzConfig {
     /// (modulo the `cache_hit`/`incremental` tags) are byte-identical either
     /// way — so disabling it is only useful for measuring what it saves.
     pub smt_reuse: bool,
-    /// Portfolio width for hard SMT queries. `1` (the default) disables the
-    /// race; `k > 1` additionally solves hard queries under `k - 1` variant
-    /// CDCL configurations for out-of-band diagnostics. The reference
-    /// configuration's answer is always the reported one, so reports and
-    /// traces are byte-identical at any `k`.
-    pub portfolio_k: usize,
-    /// A query qualifies as "hard" for the portfolio race once the reference
-    /// solve performed at least this many unit propagations.
-    pub portfolio_threshold: u64,
 }
 
 impl Default for FuzzConfig {
@@ -58,8 +49,6 @@ impl Default for FuzzConfig {
             feedback: true,
             deadline: wasai_smt::Deadline::NONE,
             smt_reuse: true,
-            portfolio_k: 1,
-            portfolio_threshold: 10_000,
         }
     }
 }

@@ -581,14 +581,6 @@ impl Engine {
                         }
                         None => {
                             let (r, s) = session.solve(prefix, q.flipped, budget);
-                            self.race_if_hard(
-                                &outcome.pool,
-                                prefix,
-                                Some(q.flipped),
-                                budget,
-                                &r,
-                                &s,
-                            );
                             // A deadline-truncated Unknown is a watchdog
                             // artifact, not the query's answer — memoizing
                             // it would replay the truncation into sibling
@@ -616,7 +608,6 @@ impl Engine {
             } else {
                 let constraints = q.constraints(&set.prefix);
                 let (r, s) = wasai_smt::check(&outcome.pool, &constraints, budget);
-                self.race_if_hard(&outcome.pool, &constraints, None, budget, &r, &s);
                 (r, s, false, false)
             };
             drop(solve_timer);
@@ -670,34 +661,5 @@ impl Engine {
             }
         }
         new_seeds
-    }
-
-    /// Portfolio race on hard queries: when `cfg.portfolio_k > 1` and the
-    /// reference solve propagated at least `cfg.portfolio_threshold` times,
-    /// re-solve the query under the variant configurations. The race is
-    /// strictly out-of-band — the already-computed `result` stays the
-    /// reported one, variant verdicts only feed `wasai-obs` counters — so
-    /// reports and traces are byte-identical at any `k`.
-    fn race_if_hard(
-        &self,
-        pool: &wasai_smt::TermPool,
-        prefix: &[wasai_smt::TermId],
-        flipped: Option<wasai_smt::TermId>,
-        budget: wasai_smt::Budget,
-        result: &SolveResult,
-        stats: &wasai_smt::SolveStats,
-    ) {
-        if self.cfg.portfolio_k <= 1 || stats.propagations < self.cfg.portfolio_threshold {
-            return;
-        }
-        let mut assertions = prefix.to_vec();
-        assertions.extend(flipped);
-        wasai_smt::portfolio::race_diagnostics(
-            pool,
-            &assertions,
-            budget.max_conflicts,
-            self.cfg.portfolio_k,
-            result,
-        );
     }
 }

@@ -54,6 +54,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use wasai_obs::Fnv;
+
 use crate::telemetry::{json_escape, parse_json_fields};
 
 /// Journal format version; bumped on any incompatible change.
@@ -62,34 +64,6 @@ use crate::telemetry::{json_escape, parse_json_fields};
 /// `smt_queries`, `exec_us`, `solve_us`) feeding the audit timelines and
 /// the `--profile-out` folded stacks.
 pub const JOURNAL_VERSION: u64 = 2;
-
-/// 64-bit FNV-1a, the repo's standard tiny content digest.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    const fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// Feed one field plus a separator byte, so adjacent fields can never
-    /// alias ("ab"+"c" vs "a"+"bc").
-    fn field(&mut self, bytes: &[u8]) {
-        self.write(bytes);
-        self.write(&[0x1f]);
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// Digest over the sorted contract names — the journal's corpus identity.
 pub fn corpus_digest(names: &[String]) -> u64 {

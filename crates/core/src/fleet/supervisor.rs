@@ -12,7 +12,6 @@
 //! ```text
 //! {"v":2,"index":3,…,"digest":"…"}        one OutcomeRecord per campaign
 //! {"type":"hb","slot":0,"campaign":3,"ticks":412,"stage":"solve"}
-//! {"type":"stats","seeds":15023}
 //! {"type":"metrics","v":1,"counters":"…","gauges":"…","hists":"…","digest":"…"}
 //! {"type":"done"}
 //! ```
@@ -110,8 +109,6 @@ enum WorkerMsg {
         ticks: u64,
         stage: String,
     },
-    /// Process-wide cumulative seed counter (for the exec/s readout).
-    Stats { seeds: u64 },
     /// A full cumulative registry snapshot (boxed: ~50 series of state).
     Metrics(Box<obs::RegistrySnapshot>),
     /// The worker finished its loop cleanly.
@@ -142,9 +139,6 @@ fn parse_worker_line(line: &str) -> Option<WorkerMsg> {
                 .and_then(|v| v.as_str())
                 .unwrap_or("campaign")
                 .to_string(),
-        }),
-        "stats" => Some(WorkerMsg::Stats {
-            seeds: num("seeds")?,
         }),
         // A malformed metrics frame (torn line, digest tamper, version
         // skew) is dropped like any other bad protocol line: the next
@@ -188,8 +182,6 @@ struct Shard {
     last_progress: Instant,
     /// Last seen per-worker-slot tick counts (stall detection input).
     last_ticks: BTreeMap<usize, u64>,
-    /// Last seen cumulative seed count (monitoring readout).
-    last_seeds: u64,
     /// Last merged metrics frame from the current generation — the delta
     /// baseline. Reset to zero on respawn, so a fresh worker's cumulative
     /// counts merge in full without double-counting the dead one's.
@@ -251,7 +243,6 @@ where
             readers: Vec::new(),
             last_progress: Instant::now(),
             last_ticks: BTreeMap::new(),
-            last_seeds: 0,
             last_snap: Box::new(obs::RegistrySnapshot::zero()),
             retry_at: None,
             last_err: String::new(),
@@ -302,12 +293,6 @@ where
                             shard.last_progress = Instant::now();
                         }
                         bridge_heartbeat(shard, slot, campaign, ticks, &stage);
-                    }
-                    // Seed counts now travel in metrics frames (as
-                    // SeedsExecuted deltas); the stats line survives as a
-                    // lightweight protocol heartbeat and readout.
-                    WorkerMsg::Stats { seeds } if !stale => {
-                        shard.last_seeds = seeds;
                     }
                     WorkerMsg::Metrics(snap) => {
                         merge_metrics_frame(shard, wid, stale, snap);
@@ -428,7 +413,6 @@ where
     shard.attempts += 1;
     shard.generation = shard.attempts;
     shard.last_ticks.clear();
-    shard.last_seeds = 0;
     // New process, new cumulative registry: the delta baseline restarts at
     // zero so the replacement's counts merge in full.
     *shard.last_snap = obs::RegistrySnapshot::zero();
@@ -890,7 +874,6 @@ mod tests {
             readers: Vec::new(),
             last_progress: Instant::now(),
             last_ticks: BTreeMap::new(),
-            last_seeds: 0,
             last_snap: Box::new(obs::RegistrySnapshot::zero()),
             retry_at: None,
             last_err: String::new(),
@@ -928,7 +911,6 @@ mod tests {
             readers: Vec::new(),
             last_progress: Instant::now(),
             last_ticks: BTreeMap::new(),
-            last_seeds: 0,
             last_snap: Box::new(obs::RegistrySnapshot::zero()),
             retry_at: None,
             last_err: String::new(),

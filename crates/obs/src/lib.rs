@@ -31,11 +31,13 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod expo;
+pub mod fnv;
 pub mod heartbeat;
 pub mod http;
 pub mod registry;
 pub mod snapshot;
 
+pub use fnv::Fnv;
 pub use heartbeat::{HeartbeatTable, SlotReading, Stage, StallReport};
 pub use registry::{Counter, Gauge, HistSnapshot, Histogram, Registry};
 pub use snapshot::{FleetStore, RegistrySnapshot};

@@ -123,14 +123,6 @@ metric_enum! {
         CacheStoreDropped,
         /// `wasai_smt_prefix_forks_total`
         PrefixForks,
-        /// `wasai_smt_portfolio_races_total`
-        PortfolioRaces,
-        /// `wasai_smt_portfolio_salvaged_total{outcome="sat"}`
-        PortfolioSalvagedSat,
-        /// `wasai_smt_portfolio_salvaged_total{outcome="unsat"}`
-        PortfolioSalvagedUnsat,
-        /// `wasai_smt_portfolio_disagreements_total`
-        PortfolioDisagreements,
         /// `wasai_vm_instructions_total`
         VmInstructions,
         /// `wasai_vm_tape_compiles_total`
@@ -175,11 +167,6 @@ impl Counter {
             Counter::CacheHitsCampaign | Counter::CacheHitsFleet => "wasai_smt_cache_hits_total",
             Counter::CacheStoreDropped => "wasai_smt_cache_store_dropped_total",
             Counter::PrefixForks => "wasai_smt_prefix_forks_total",
-            Counter::PortfolioRaces => "wasai_smt_portfolio_races_total",
-            Counter::PortfolioSalvagedSat | Counter::PortfolioSalvagedUnsat => {
-                "wasai_smt_portfolio_salvaged_total"
-            }
-            Counter::PortfolioDisagreements => "wasai_smt_portfolio_disagreements_total",
             Counter::VmInstructions => "wasai_vm_instructions_total",
             Counter::VmTapeCompiles => "wasai_vm_tape_compiles_total",
             Counter::VmSnapshotRestores => "wasai_vm_snapshot_restores_total",
@@ -204,8 +191,6 @@ impl Counter {
                 Some(("level", "campaign"))
             }
             Counter::CacheLookupsFleet | Counter::CacheHitsFleet => Some(("level", "fleet")),
-            Counter::PortfolioSalvagedSat => Some(("outcome", "sat")),
-            Counter::PortfolioSalvagedUnsat => Some(("outcome", "unsat")),
             _ => None,
         }
     }
@@ -250,18 +235,6 @@ impl Counter {
                 "Fleet query-cache entries lost to the capacity cap (refused or evicted)."
             }
             Counter::PrefixForks => "Queries answered by forking a shared-prefix SAT instance.",
-            Counter::PortfolioRaces => {
-                "Hard queries re-raced across portfolio CDCL configurations."
-            }
-            Counter::PortfolioSalvagedSat | Counter::PortfolioSalvagedUnsat => {
-                "Portfolio races where a variant solved a query the reference \
-                 configuration gave up on, by the variant's verdict (diagnostic \
-                 only: the reported result stays the reference's)."
-            }
-            Counter::PortfolioDisagreements => {
-                "Portfolio races where a variant contradicted the reference's \
-                 definitive verdict (a soundness alarm)."
-            }
             Counter::VmInstructions => "Wasm instructions interpreted by the VM.",
             Counter::VmTapeCompiles => "Modules lowered to threaded-code tapes by the fast path.",
             Counter::VmSnapshotRestores => {

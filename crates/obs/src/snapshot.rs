@@ -32,6 +32,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use crate::fnv::Fnv;
 use crate::registry::{Counter, Gauge, HistSnapshot, Histogram, Registry, NUM_BUCKETS};
 
 /// Snapshot wire-format version. Bumped whenever the series enumeration
@@ -39,35 +40,6 @@ use crate::registry::{Counter, Gauge, HistSnapshot, Histogram, Registry, NUM_BUC
 /// supervisor are always the same binary, so this only trips on torn
 /// frames and operator error).
 pub const SNAPSHOT_VERSION: u64 = 1;
-
-/// FNV-1a, the same construction the durable journal uses for outcome
-/// records: self-contained, stable across platforms, and one multiply per
-/// byte.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// Append one field with a separator so `("ab","c")` and `("a","bc")`
-    /// hash differently.
-    fn field(&mut self, bytes: &[u8]) {
-        self.write(bytes);
-        self.write(&[0x1f]);
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// A point-in-time copy of every series in a [`Registry`]: plain data,
 /// mergeable, serializable. Counters and histogram cells are cumulative

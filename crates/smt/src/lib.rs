@@ -21,11 +21,8 @@
 //!   canonical query keys, a fleet-shared memo cache, and shared-prefix
 //!   incremental solving for flip-query families. All three are
 //!   observationally identical to calling [`check`] from scratch.
-//! - [`persist`] / [`portfolio`]: the fleet-scale layer — journal-grade
-//!   on-disk warm-start persistence for the fleet cache, and a
-//!   deterministic portfolio racer for hard queries (out-of-band
-//!   diagnostics only: the reference configuration's answer is always the
-//!   reported one, so results stay bit-identical at any `k`).
+//! - [`persist`]: journal-grade on-disk warm-start persistence for the
+//!   fleet cache.
 //!
 //! The byte-array role Z3 plays in the paper (its `Store`/`Select` memory
 //! model, §3.4.1) is implemented in `wasai-symex` directly: WASAI's memory
@@ -58,7 +55,6 @@ pub mod cache;
 pub mod canon;
 pub mod deadline;
 pub mod persist;
-pub mod portfolio;
 pub mod prefix;
 pub mod sat;
 pub mod solver;

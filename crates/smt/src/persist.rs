@@ -41,6 +41,8 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use wasai_obs::Fnv;
+
 use crate::cache::{CachedOutcome, CachedQuery, SolverCache};
 use crate::canon::{QueryKey, CANON_VERSION};
 use crate::solver::SolveStats;
@@ -49,35 +51,6 @@ use crate::solver::SolveStats;
 /// format; the header also pins [`CANON_VERSION`] separately so either kind
 /// of drift invalidates old files.
 pub const CACHE_FORMAT_VERSION: u64 = 1;
-
-/// FNV-1a, the digest the journal uses: tiny, dependency-free, and
-/// mismatch detection is against torn writes and fat-fingered edits, not
-/// adversaries.
-struct Fnv(u64);
-
-impl Fnv {
-    const fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// Feed one field plus a separator byte, so adjacent fields can never
-    /// alias ("ab"+"c" vs "a"+"bc").
-    fn field(&mut self, bytes: &[u8]) {
-        self.write(bytes);
-        self.write(&[0x1f]);
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 fn hex(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);

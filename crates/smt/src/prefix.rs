@@ -21,49 +21,16 @@
 //! counts only the propagations actually executed, which the solver
 //! microbench compares against the from-scratch total.
 //!
-//! [`solve_assuming`](PrefixSolver::solve_assuming) is the classic
-//! alternative: one persistent SAT instance, each flip decided as a SAT
-//! *assumption* ([`crate::sat::SatSolver::solve_with_assumptions`]), learnt
-//! clauses shared across queries. It agrees with `check` on verdicts (and
-//! its models satisfy the constraints) but not on statistics — learnt
-//! clauses and activities carry over — so the engine uses the fork path and
-//! reserves assumptions for callers that only need verdicts fast.
-//!
-//! [`solve_sharing`](PrefixSolver::solve_sharing) is the third mode:
-//! fork-per-query like `solve`, but learnt clauses that mention only
-//! shared-prefix variables are harvested after each fork and injected into
-//! the next — so sibling flips of one campaign family stop rediscovering
-//! the same prefix conflicts. Verdict-identical to `check`; statistics are
-//! not (the injected clauses change the search), so the engine's
-//! byte-identity path still uses `solve`.
-//!
-//! The query paths are **mutually exclusive on one session**:
-//! `solve_assuming` Tseitin-encodes each flip's gates into the persistent
-//! instance, so a later [`solve`](PrefixSolver::solve) would fork an
-//! instance carrying extra gates and silently lose its bit-identity
-//! guarantee — and `solve_sharing`'s stats are pool-dependent. The session
-//! latches whichever mode answers its first query and panics if another is
-//! used afterwards.
+//! The fork path is the only query mode. Any mode that changes
+//! [`SolveStats`] — assumption-based solving on a persistent instance,
+//! learnt clauses carried between forks — changes what the virtual clock
+//! charges, and with it campaign trajectories and reports.
 
 use std::collections::HashSet;
 
 use crate::bitblast::BitBlaster;
-use crate::sat::Lit;
 use crate::solver::{result_of, stats_of, Budget, Model, SolveResult, SolveStats};
 use crate::term::{TermId, TermPool};
-
-/// Which query API a session has committed to (see the module docs on why
-/// the fork and assumption paths must not share one instance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SessionMode {
-    /// [`PrefixSolver::solve`]: fork per query, bit-identical to `check`.
-    Fork,
-    /// [`PrefixSolver::solve_assuming`]: persistent instance, assumptions.
-    Assume,
-    /// [`PrefixSolver::solve_sharing`]: fork per query, learnt prefix-only
-    /// clauses carried between forks.
-    Share,
-}
 
 /// A solver session over one replay's path-constraint chain.
 pub struct PrefixSolver<'p> {
@@ -81,17 +48,8 @@ pub struct PrefixSolver<'p> {
     /// every query whose prefix reaches it is unsat without touching `bb`.
     false_at: Option<usize>,
     started: bool,
-    /// Latched by the first query; mixing modes afterwards panics.
-    mode: Option<SessionMode>,
     forks: u64,
     work_props: u64,
-    /// Learnt clauses harvested from earlier forks (Share mode only). Each
-    /// mentions only variables the shared instance owned when its fork was
-    /// taken, so it is implied by the prefix alone and sound to inject into
-    /// any later fork of the same family.
-    shared_clauses: Vec<Vec<Lit>>,
-    /// Sorted-literal fingerprints of `shared_clauses`, for dedup.
-    shared_seen: HashSet<Vec<Lit>>,
 }
 
 impl<'p> PrefixSolver<'p> {
@@ -107,26 +65,8 @@ impl<'p> PrefixSolver<'p> {
             seen: HashSet::new(),
             false_at: None,
             started: false,
-            mode: None,
             forks: 0,
             work_props: 0,
-            shared_clauses: Vec::new(),
-            shared_seen: HashSet::new(),
-        }
-    }
-
-    /// Commit the session to one query API; panics on a mode mix, which
-    /// would silently void [`solve`](PrefixSolver::solve)'s bit-identity
-    /// guarantee (the check is always on — it is one comparison per query).
-    fn latch_mode(&mut self, mode: SessionMode) {
-        match self.mode {
-            None => self.mode = Some(mode),
-            Some(m) => assert!(
-                m == mode,
-                "PrefixSolver: solve and solve_assuming are mutually \
-                 exclusive on one session (started in {m:?} mode, got a \
-                 {mode:?} query)"
-            ),
         }
     }
 
@@ -216,20 +156,12 @@ impl<'p> PrefixSolver<'p> {
 
     /// Solve `prefix ∧ delta` under `budget`, bit-identically (result and
     /// statistics) to `check(pool, prefix + [delta], budget)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this session already answered a
-    /// [`solve_assuming`](PrefixSolver::solve_assuming) query — the
-    /// assumption path mutates the shared instance, which would void the
-    /// bit-identity guarantee here (see the module docs).
     pub fn solve(
         &mut self,
         prefix: &[TermId],
         delta: TermId,
         budget: Budget,
     ) -> (SolveResult, SolveStats) {
-        self.latch_mode(SessionMode::Fork);
         if self.trivially_false(prefix, Some(delta)) {
             return (SolveResult::Unsat, SolveStats::default());
         }
@@ -251,144 +183,6 @@ impl<'p> PrefixSolver<'p> {
         let stats = stats_of(&fork);
         (result_of(self.pool, &fork, outcome), stats)
     }
-
-    /// Solve `prefix ∧ delta` by deciding the flipped condition as a SAT
-    /// *assumption* on the persistent shared instance (no fork; learnt
-    /// clauses accumulate across queries).
-    ///
-    /// Agrees with [`check`](crate::solver::check) on the verdict, and any
-    /// model satisfies the constraints — but statistics and model values may
-    /// differ from a from-scratch solve, so the deterministic campaign path
-    /// uses [`PrefixSolver::solve`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this session already answered a
-    /// [`solve`](PrefixSolver::solve) query: the flip gates blasted here
-    /// persist in the shared instance, so the two APIs are mutually
-    /// exclusive per session (see the module docs).
-    pub fn solve_assuming(
-        &mut self,
-        prefix: &[TermId],
-        delta: TermId,
-        budget: Budget,
-    ) -> (SolveResult, SolveStats) {
-        self.latch_mode(SessionMode::Assume);
-        if self.trivially_false(prefix, Some(delta)) {
-            return (SolveResult::Unsat, SolveStats::default());
-        }
-        self.advance(prefix);
-        let delta_dropped = self.pool.as_const(delta) == Some(1) || self.seen.contains(&delta);
-        if self.asserted == 0 && delta_dropped {
-            return (SolveResult::Sat(Model::default()), SolveStats::default());
-        }
-        let base_props = self.bb.sat.propagations;
-        let assumptions: Vec<_> = if delta_dropped {
-            Vec::new()
-        } else {
-            vec![self.bb.blast_bool(delta)]
-        };
-        let outcome =
-            self.bb
-                .sat
-                .solve_with_assumptions(&assumptions, budget.max_conflicts, budget.deadline);
-        self.work_props += self.bb.sat.propagations - base_props;
-        let stats = stats_of(&self.bb);
-        let result = result_of(self.pool, &self.bb, outcome);
-        self.bb.sat.backtrack_root();
-        (result, stats)
-    }
-
-    /// Learnt clauses currently in the sharing pool (Share mode).
-    pub fn shared_clause_count(&self) -> usize {
-        self.shared_clauses.len()
-    }
-
-    /// Solve `prefix ∧ delta` on a fork of the shared instance, carrying
-    /// learnt clauses *between* forks of this campaign family.
-    ///
-    /// Each query forks like [`PrefixSolver::solve`], but (1) the fork is
-    /// seeded with every clause earlier forks learnt about the shared
-    /// prefix, and (2) after solving, newly learnt clauses that mention
-    /// only prefix variables are harvested into the pool for future forks.
-    ///
-    /// # Why the harvest is sound
-    ///
-    /// The flip is decided as a SAT *assumption*, never asserted as a unit
-    /// clause, so the fork's clause database is exactly: the shared prefix
-    /// clauses, the pool (inductively implied by the prefix), and Tseitin
-    /// gate definitions (conservative: each defines a fresh variable).
-    /// CDCL learns only resolvents of database clauses — assumptions, being
-    /// decisions, are never resolved in — so every learnt clause is implied
-    /// by that database. A learnt clause restricted to variables the shared
-    /// instance owned *before* the fork mentions no defined-fresh variable,
-    /// and a clause over old variables implied by a conservative extension
-    /// is implied by the prefix alone. Hence it holds in every sibling
-    /// fork, whatever flip that sibling assumes.
-    ///
-    /// Verdict-identical to [`check`](crate::solver::check) (and Sat models
-    /// satisfy the constraints), but the injected clauses change the search,
-    /// so statistics are *not* from-scratch-identical — like
-    /// [`solve_assuming`](PrefixSolver::solve_assuming), this mode is for
-    /// callers that want verdicts fast, not for the byte-identity engine
-    /// path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this session already answered queries in another mode.
-    pub fn solve_sharing(
-        &mut self,
-        prefix: &[TermId],
-        delta: TermId,
-        budget: Budget,
-    ) -> (SolveResult, SolveStats) {
-        self.latch_mode(SessionMode::Share);
-        if self.trivially_false(prefix, Some(delta)) {
-            return (SolveResult::Unsat, SolveStats::default());
-        }
-        self.advance(prefix);
-        let delta_dropped = self.pool.as_const(delta) == Some(1) || self.seen.contains(&delta);
-        if self.asserted == 0 && delta_dropped {
-            return (SolveResult::Sat(Model::default()), SolveStats::default());
-        }
-        // Variables the shared instance owns right now: the harvest
-        // boundary. Anything at or above this index is fork-local.
-        let prefix_vars = self.bb.sat.num_vars();
-        let base_props = self.bb.sat.propagations;
-        let mut fork = self.bb.clone();
-        self.forks += 1;
-        wasai_obs::inc(wasai_obs::Counter::PrefixForks);
-        for clause in &self.shared_clauses {
-            // A pool clause can only conflict if the prefix itself is
-            // unsat, in which case the solve below reports exactly that.
-            let _ = fork.sat.add_clause(clause);
-        }
-        let injected_at = fork.sat.num_clauses();
-        let assumptions: Vec<Lit> = if delta_dropped {
-            Vec::new()
-        } else {
-            vec![fork.blast_bool(delta)]
-        };
-        let outcome =
-            fork.sat
-                .solve_with_assumptions(&assumptions, budget.max_conflicts, budget.deadline);
-        self.work_props += fork.sat.propagations - base_props;
-        // Harvest: learnt clauses over prefix variables only. Gate clauses
-        // from blasting `delta` always mention the fresh gate variable, so
-        // the variable filter excludes them naturally.
-        for id in injected_at..fork.sat.num_clauses() {
-            let clause = fork.sat.clause(id);
-            if clause.iter().all(|l| (l.var() as usize) < prefix_vars) {
-                let mut fingerprint = clause.to_vec();
-                fingerprint.sort_by_key(|l| l.0);
-                if self.shared_seen.insert(fingerprint) {
-                    self.shared_clauses.push(clause.to_vec());
-                }
-            }
-        }
-        let stats = stats_of(&fork);
-        (result_of(self.pool, &fork, outcome), stats)
-    }
 }
 
 impl std::fmt::Debug for PrefixSolver<'_> {
@@ -396,10 +190,8 @@ impl std::fmt::Debug for PrefixSolver<'_> {
         f.debug_struct("PrefixSolver")
             .field("raw_seen", &self.raw_seen)
             .field("asserted", &self.asserted)
-            .field("mode", &self.mode)
             .field("forks", &self.forks)
             .field("work_props", &self.work_props)
-            .field("shared_clauses", &self.shared_clauses.len())
             .finish()
     }
 }
@@ -445,114 +237,6 @@ mod tests {
         (path, flips)
     }
 
-    #[test]
-    fn fork_path_is_bit_identical_to_from_scratch() {
-        for salt in 0..4u64 {
-            let mut pool = TermPool::new();
-            let (path, flips) = flip_family(&mut pool, 12, salt);
-            let mut session = PrefixSolver::new(&pool);
-            for (i, &flip) in flips.iter().enumerate() {
-                let mut scratch: Vec<TermId> = path[..i].to_vec();
-                scratch.push(flip);
-                let (want_res, want_stats) = check(&pool, &scratch, Budget::default());
-                let (got_res, got_stats) = session.solve(&path[..i], flip, Budget::default());
-                assert_eq!(want_res, got_res, "salt {salt} flip {i}: result diverged");
-                assert_eq!(
-                    want_stats, got_stats,
-                    "salt {salt} flip {i}: stats diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fork_path_saves_propagations() {
-        let mut pool = TermPool::new();
-        let (path, flips) = flip_family(&mut pool, 16, 7);
-        let mut scratch_props = 0u64;
-        for (i, &flip) in flips.iter().enumerate() {
-            let mut q: Vec<TermId> = path[..i].to_vec();
-            q.push(flip);
-            let (_, stats) = check(&pool, &q, Budget::default());
-            scratch_props += stats.propagations;
-        }
-        let mut session = PrefixSolver::new(&pool);
-        for (i, &flip) in flips.iter().enumerate() {
-            session.solve(&path[..i], flip, Budget::default());
-        }
-        assert!(
-            session.performed_propagations() < scratch_props,
-            "shared prefix must do less propagation work: {} vs {}",
-            session.performed_propagations(),
-            scratch_props
-        );
-    }
-
-    #[test]
-    fn assumption_path_agrees_with_from_scratch_on_randomized_family() {
-        // The satellite contract: assumption-based incremental solving gives
-        // the same verdict as a from-scratch check on a flip-query family
-        // randomized by index, and its Sat models satisfy the constraints.
-        for salt in 0..6u64 {
-            let mut pool = TermPool::new();
-            let (path, flips) = flip_family(&mut pool, 10, salt);
-            let mut session = PrefixSolver::new(&pool);
-            for (i, &flip) in flips.iter().enumerate() {
-                let mut scratch: Vec<TermId> = path[..i].to_vec();
-                scratch.push(flip);
-                let (want, _) = check(&pool, &scratch, Budget::default());
-                let (got, _) = session.solve_assuming(&path[..i], flip, Budget::default());
-                assert_eq!(
-                    want.kind(),
-                    got.kind(),
-                    "salt {salt} flip {i}: verdict diverged"
-                );
-                if let SolveResult::Sat(m) = &got {
-                    let vals = m.to_vec(&pool);
-                    for &c in &scratch {
-                        assert_eq!(
-                            pool.eval(c, &vals),
-                            1,
-                            "salt {salt} flip {i}: assumption model violates a constraint"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharing_path_agrees_with_from_scratch_on_randomized_family() {
-        // Clause sharing changes the search, never the verdict; Sat models
-        // must still satisfy every constraint of the query they answer.
-        for salt in 0..6u64 {
-            let mut pool = TermPool::new();
-            let (path, flips) = flip_family(&mut pool, 10, salt);
-            let mut session = PrefixSolver::new(&pool);
-            for (i, &flip) in flips.iter().enumerate() {
-                let mut scratch: Vec<TermId> = path[..i].to_vec();
-                scratch.push(flip);
-                let (want, _) = check(&pool, &scratch, Budget::default());
-                let (got, _) = session.solve_sharing(&path[..i], flip, Budget::default());
-                assert_eq!(
-                    want.kind(),
-                    got.kind(),
-                    "salt {salt} flip {i}: verdict diverged"
-                );
-                if let SolveResult::Sat(m) = &got {
-                    let vals = m.to_vec(&pool);
-                    for &c in &scratch {
-                        assert_eq!(
-                            pool.eval(c, &vals),
-                            1,
-                            "salt {salt} flip {i}: sharing model violates a constraint"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// A flip family whose prefix pins a *bounded* factoring constraint
     /// (`a·b = K, 2 ≤ a,b < 64`): bounding the operands defeats the
     /// modular-wraparound shortcut, so CDCL genuinely searches and learns
@@ -592,69 +276,63 @@ mod tests {
         (path, flips)
     }
 
+    type Family = fn(&mut TermPool, usize, u64) -> (Vec<TermId>, Vec<TermId>);
+
+    /// Both families, so the check covers BCP-trivial forks and forks whose
+    /// search genuinely conflicts and learns clauses.
     #[test]
-    fn sharing_harvests_prefix_clauses_between_forks() {
-        // A family whose flips force conflicts on the shared prefix: the
-        // pool must actually accumulate clauses (otherwise the mode is a
-        // silent no-op), every fork must still agree with a from-scratch
-        // check, and Sat models must satisfy the constraints.
-        let mut harvested_any = false;
-        for salt in 0..4u64 {
-            let mut pool = TermPool::new();
-            let (path, flips) = hard_family(&mut pool, 6, salt);
-            let mut session = PrefixSolver::new(&pool);
-            for (i, &flip) in flips.iter().enumerate() {
-                let mut scratch: Vec<TermId> = path[..i].to_vec();
-                scratch.push(flip);
-                let (want, _) = check(&pool, &scratch, Budget::default());
-                let (got, _) = session.solve_sharing(&path[..i], flip, Budget::default());
-                assert_eq!(want.kind(), got.kind(), "salt {salt} flip {i}");
-                if let SolveResult::Sat(m) = &got {
-                    let vals = m.to_vec(&pool);
-                    for &c in &scratch {
-                        assert_eq!(pool.eval(c, &vals), 1, "salt {salt} flip {i}");
-                    }
+    fn fork_path_is_bit_identical_to_from_scratch() {
+        let families: [(&str, Family, usize, u64); 2] =
+            [("flip", flip_family, 12, 4), ("hard", hard_family, 6, 16)];
+        for (name, family, steps, salts) in families {
+            let mut conflicts = 0u64;
+            for salt in 0..salts {
+                let mut pool = TermPool::new();
+                let (path, flips) = family(&mut pool, steps, salt);
+                let mut session = PrefixSolver::new(&pool);
+                for (i, &flip) in flips.iter().enumerate() {
+                    let mut scratch: Vec<TermId> = path[..i].to_vec();
+                    scratch.push(flip);
+                    let (want_res, want_stats) = check(&pool, &scratch, Budget::default());
+                    let (got_res, got_stats) = session.solve(&path[..i], flip, Budget::default());
+                    assert_eq!(
+                        want_res, got_res,
+                        "{name} salt {salt} flip {i}: result diverged"
+                    );
+                    assert_eq!(
+                        want_stats, got_stats,
+                        "{name} salt {salt} flip {i}: stats diverged"
+                    );
+                    conflicts += got_stats.conflicts;
                 }
             }
-            harvested_any |= session.shared_clause_count() > 0;
+            if name == "hard" {
+                assert!(conflicts > 0, "hard family never reached a conflict");
+            }
+        }
+    }
+
+    #[test]
+    fn fork_path_saves_propagations() {
+        let mut pool = TermPool::new();
+        let (path, flips) = flip_family(&mut pool, 16, 7);
+        let mut scratch_props = 0u64;
+        for (i, &flip) in flips.iter().enumerate() {
+            let mut q: Vec<TermId> = path[..i].to_vec();
+            q.push(flip);
+            let (_, stats) = check(&pool, &q, Budget::default());
+            scratch_props += stats.propagations;
+        }
+        let mut session = PrefixSolver::new(&pool);
+        for (i, &flip) in flips.iter().enumerate() {
+            session.solve(&path[..i], flip, Budget::default());
         }
         assert!(
-            harvested_any,
-            "no salt produced a single shared clause — harvest is broken"
+            session.performed_propagations() < scratch_props,
+            "shared prefix must do less propagation work: {} vs {}",
+            session.performed_propagations(),
+            scratch_props
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn mixing_sharing_then_fork_queries_panics() {
-        let mut pool = TermPool::new();
-        let (path, flips) = flip_family(&mut pool, 3, 0);
-        let mut session = PrefixSolver::new(&pool);
-        session.solve_sharing(&path[..1], flips[1], Budget::default());
-        session.solve(&path[..2], flips[2], Budget::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn mixing_assumption_then_fork_queries_panics() {
-        // solve_assuming blasts flip gates into the persistent instance, so
-        // a later solve() would fork polluted state — the session must
-        // refuse loudly instead of silently losing bit-identity.
-        let mut pool = TermPool::new();
-        let (path, flips) = flip_family(&mut pool, 3, 0);
-        let mut session = PrefixSolver::new(&pool);
-        session.solve_assuming(&path[..1], flips[1], Budget::default());
-        session.solve(&path[..2], flips[2], Budget::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn mixing_fork_then_assumption_queries_panics() {
-        let mut pool = TermPool::new();
-        let (path, flips) = flip_family(&mut pool, 3, 0);
-        let mut session = PrefixSolver::new(&pool);
-        session.solve(&path[..1], flips[1], Budget::default());
-        session.solve_assuming(&path[..2], flips[2], Budget::default());
     }
 
     #[test]

@@ -15,6 +15,12 @@ use crate::deadline::Deadline;
 /// microseconds.
 pub const DEADLINE_POLL_INTERVAL: u32 = 1024;
 
+/// Initial restart interval in conflicts; doubles after each restart.
+const RESTART_BASE: u64 = 64;
+
+/// Per-conflict growth factor of the VSIDS activity increment.
+const ACTIVITY_DECAY: f64 = 1.05;
+
 /// A literal: variable index shifted left once, LSB = negated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Lit(pub u32);
@@ -58,44 +64,6 @@ pub enum SatOutcome {
 }
 
 const UNASSIGNED: i8 = -1;
-
-/// A CDCL search configuration — the knobs the portfolio racer varies
-/// (restart schedule, phase heuristic, activity decay). Every field is
-/// deterministic; two solves of the same instance under the same config
-/// produce identical searches.
-///
-/// [`SearchConfig::DEFAULT`] reproduces [`SatSolver::solve`] exactly: the
-/// default-config search IS the historical search, bit for bit, which is
-/// what lets the portfolio layer report the reference configuration's
-/// result unconditionally.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SearchConfig {
-    /// Initial restart interval in conflicts; doubles after each restart.
-    pub restart_base: u64,
-    /// Decide with the saved phase (classic phase saving). When off, every
-    /// decision uses [`SearchConfig::default_phase`].
-    pub phase_saving: bool,
-    /// Decision polarity used when phase saving is off.
-    pub default_phase: bool,
-    /// Per-conflict growth factor of the VSIDS activity increment.
-    pub decay: f64,
-}
-
-impl SearchConfig {
-    /// The reference configuration (what [`SatSolver::solve`] runs).
-    pub const DEFAULT: SearchConfig = SearchConfig {
-        restart_base: 64,
-        phase_saving: true,
-        default_phase: false,
-        decay: 1.05,
-    };
-}
-
-impl Default for SearchConfig {
-    fn default() -> SearchConfig {
-        SearchConfig::DEFAULT
-    }
-}
 
 /// The solver.
 ///
@@ -164,13 +132,6 @@ impl SatSolver {
     /// Number of clauses (original + learnt).
     pub fn num_clauses(&self) -> usize {
         self.clauses.len()
-    }
-
-    /// The literals of clause `id` (ids are dense; learnt clauses append).
-    /// The prefix solver's clause-sharing mode harvests learnt clauses
-    /// through this.
-    pub fn clause(&self, id: usize) -> &[Lit] {
-        &self.clauses[id]
     }
 
     /// Current value of a literal: 1 true, 0 false, -1 unassigned.
@@ -380,7 +341,9 @@ impl SatSolver {
         self.qhead = self.trail.len();
     }
 
-    fn decide(&mut self, cfg: &SearchConfig) -> Option<Lit> {
+    /// Pick the most active unassigned variable, decided with its saved
+    /// phase.
+    fn decide(&self) -> Option<Lit> {
         let mut best: Option<u32> = None;
         let mut best_act = -1.0f64;
         for v in 0..self.num_vars() {
@@ -390,12 +353,7 @@ impl SatSolver {
             }
         }
         best.map(|v| {
-            let polarity = if cfg.phase_saving {
-                self.phase[v as usize]
-            } else {
-                cfg.default_phase
-            };
-            if polarity {
+            if self.phase[v as usize] {
                 Lit::pos(v)
             } else {
                 Lit::neg(v)
@@ -410,18 +368,6 @@ impl SatSolver {
     /// [`SatOutcome::Unknown`], exactly like conflict exhaustion. With
     /// [`Deadline::NONE`] the search is fully deterministic.
     pub fn solve(&mut self, max_conflicts: u64, deadline: Deadline) -> SatOutcome {
-        self.solve_with_config(max_conflicts, deadline, &SearchConfig::DEFAULT)
-    }
-
-    /// [`SatSolver::solve`] under an explicit [`SearchConfig`]. The default
-    /// config reproduces `solve` exactly; the portfolio layer runs variant
-    /// configs on clones for out-of-band diagnostics.
-    pub fn solve_with_config(
-        &mut self,
-        max_conflicts: u64,
-        deadline: Deadline,
-        cfg: &SearchConfig,
-    ) -> SatOutcome {
         if self.unsat {
             return SatOutcome::Unsat;
         }
@@ -436,7 +382,7 @@ impl SatSolver {
             return SatOutcome::Unknown;
         }
         let start_conflicts = self.conflicts;
-        let mut restart_unit = cfg.restart_base;
+        let mut restart_unit = RESTART_BASE;
         let mut next_restart = self.conflicts + restart_unit;
         let mut steps_since_poll: u32 = 0;
         loop {
@@ -470,123 +416,14 @@ impl SatSolver {
                     self.clauses.push(learnt);
                     self.enqueue(asserting, id);
                 }
-                self.var_inc *= cfg.decay;
+                self.var_inc *= ACTIVITY_DECAY;
                 if self.conflicts >= next_restart {
                     restart_unit = restart_unit.saturating_mul(2);
                     next_restart = self.conflicts + restart_unit;
                     self.backtrack(0);
                 }
             } else {
-                match self.decide(cfg) {
-                    None => return SatOutcome::Sat,
-                    Some(l) => {
-                        self.trail_lim.push(self.trail.len());
-                        self.enqueue(l, u32::MAX);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Undo all decisions, returning the solver to the root level.
-    ///
-    /// After a [`SatOutcome::Sat`] the trail still holds the model; call
-    /// this once the model has been read and before adding further clauses
-    /// (clauses must be added at level 0).
-    pub fn backtrack_root(&mut self) {
-        self.backtrack(0);
-    }
-
-    /// Solve under `assumptions`: each literal is decided (in order) before
-    /// the free search, MiniSat-style.
-    ///
-    /// [`SatOutcome::Unsat`] here means *unsat under the assumptions*: the
-    /// instance itself is not poisoned unless a root-level conflict proved
-    /// it globally unsat, so the same solver can keep answering further
-    /// assumption queries. Learnt clauses are derived by resolution from the
-    /// clause database alone, so they remain valid across queries and
-    /// successive queries get faster.
-    pub fn solve_with_assumptions(
-        &mut self,
-        assumptions: &[Lit],
-        max_conflicts: u64,
-        deadline: Deadline,
-    ) -> SatOutcome {
-        if self.unsat {
-            return SatOutcome::Unsat;
-        }
-        if self.propagate().is_some() {
-            self.unsat = true;
-            return SatOutcome::Unsat;
-        }
-        if deadline.expired() {
-            self.backtrack(0);
-            return SatOutcome::Unknown;
-        }
-        let start_conflicts = self.conflicts;
-        let mut restart_unit = 64u64;
-        let mut next_restart = self.conflicts + restart_unit;
-        let mut steps_since_poll: u32 = 0;
-        loop {
-            steps_since_poll += 1;
-            if steps_since_poll >= DEADLINE_POLL_INTERVAL {
-                steps_since_poll = 0;
-                if deadline.expired() {
-                    self.backtrack(0);
-                    return SatOutcome::Unknown;
-                }
-            }
-            if let Some(confl) = self.propagate() {
-                self.conflicts += 1;
-                if self.trail_lim.is_empty() {
-                    self.unsat = true;
-                    return SatOutcome::Unsat;
-                }
-                if self.conflicts - start_conflicts >= max_conflicts {
-                    self.backtrack(0);
-                    return SatOutcome::Unknown;
-                }
-                let (learnt, bt) = self.analyze(confl);
-                self.backtrack(bt);
-                let asserting = learnt[0];
-                if learnt.len() == 1 {
-                    self.enqueue(asserting, u32::MAX);
-                } else {
-                    let id = self.clauses.len() as u32;
-                    self.watches[learnt[0].negate().0 as usize].push(id);
-                    self.watches[learnt[1].negate().0 as usize].push(id);
-                    self.clauses.push(learnt);
-                    self.enqueue(asserting, id);
-                }
-                self.var_inc *= 1.05;
-                if self.conflicts >= next_restart {
-                    restart_unit = restart_unit.saturating_mul(2);
-                    next_restart = self.conflicts + restart_unit;
-                    self.backtrack(0);
-                }
-            } else if (self.trail_lim.len()) < assumptions.len() {
-                // Establish the next assumption as a decision.
-                let a = assumptions[self.trail_lim.len()];
-                match self.lit_value(a) {
-                    1 => {
-                        // Already implied: open an empty decision level so
-                        // assumption index k always lives at level k+1.
-                        self.trail_lim.push(self.trail.len());
-                    }
-                    0 => {
-                        // The clause database (plus earlier assumptions)
-                        // forces ¬a: unsat under these assumptions, but the
-                        // instance itself stays healthy.
-                        self.backtrack(0);
-                        return SatOutcome::Unsat;
-                    }
-                    _ => {
-                        self.trail_lim.push(self.trail.len());
-                        self.enqueue(a, u32::MAX);
-                    }
-                }
-            } else {
-                match self.decide(&SearchConfig::DEFAULT) {
+                match self.decide() {
                     None => return SatOutcome::Sat,
                     Some(l) => {
                         self.trail_lim.push(self.trail.len());
@@ -691,94 +528,6 @@ mod tests {
         s.add_clause(&[lit(1), lit(1), lit(2)]);
         s.add_clause(&[lit(1), lit(-1)]);
         assert_eq!(s.solve(100, Deadline::NONE), SatOutcome::Sat);
-    }
-
-    /// Deterministic small 3-SAT instances for the config tests.
-    fn random_instances(cases: usize) -> Vec<Vec<Vec<Lit>>> {
-        let mut seed = 0xdeadbeefu64;
-        let mut rnd = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as u32
-        };
-        (0..cases)
-            .map(|_| {
-                (0..34)
-                    .map(|_| {
-                        (0..3)
-                            .map(|_| {
-                                let v = rnd() % 8;
-                                if rnd() % 2 == 1 {
-                                    Lit::neg(v)
-                                } else {
-                                    Lit::pos(v)
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn load(clauses: &[Vec<Lit>]) -> SatSolver {
-        let mut s = solver_with_vars(8);
-        for c in clauses {
-            s.add_clause(c);
-        }
-        s
-    }
-
-    /// The default config IS the historical search: outcome, conflict count
-    /// and propagation count all match `solve` exactly. The portfolio's
-    /// determinism guarantee rests on this.
-    #[test]
-    fn default_config_reproduces_solve_bit_for_bit() {
-        for clauses in random_instances(30) {
-            let mut a = load(&clauses);
-            let mut b = load(&clauses);
-            let ra = a.solve(100_000, Deadline::NONE);
-            let rb = b.solve_with_config(100_000, Deadline::NONE, &SearchConfig::DEFAULT);
-            assert_eq!(ra, rb);
-            assert_eq!(a.conflicts, b.conflicts);
-            assert_eq!(a.propagations, b.propagations);
-            assert_eq!(a.num_clauses(), b.num_clauses());
-        }
-    }
-
-    /// Variant configs change the search, never the verdict.
-    #[test]
-    fn variant_configs_agree_on_verdicts() {
-        let variants = [
-            SearchConfig {
-                restart_base: 16,
-                ..SearchConfig::DEFAULT
-            },
-            SearchConfig {
-                phase_saving: false,
-                default_phase: true,
-                ..SearchConfig::DEFAULT
-            },
-            SearchConfig {
-                decay: 1.2,
-                restart_base: 256,
-                ..SearchConfig::DEFAULT
-            },
-        ];
-        for clauses in random_instances(20) {
-            let reference = load(&clauses).solve(100_000, Deadline::NONE);
-            for cfg in &variants {
-                let mut s = load(&clauses);
-                let got = s.solve_with_config(100_000, Deadline::NONE, cfg);
-                assert_eq!(got, reference, "config {cfg:?} changed the verdict");
-                if got == SatOutcome::Sat {
-                    for c in &clauses {
-                        assert!(c.iter().any(|l| s.value(l.var()) != l.is_neg()));
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -343,7 +343,6 @@ struct AuditArgs {
     trace_out: Option<String>,
     substrate: Option<SubstrateKind>,
     solver_cache: Option<String>,
-    portfolio_k: Option<usize>,
     profile_out: Option<String>,
     obs: ObsOpts,
 }
@@ -364,12 +363,7 @@ fn audit(a: &AuditArgs) -> Result<(), String> {
     // campaign's heartbeat here for the stall detector.
     obs::worker::begin(0);
     let solver_cache = open_solver_cache(a.solver_cache.as_deref())?;
-    let mut wasai = Wasai::new(module, abi)
-        .with_config(FuzzConfig {
-            portfolio_k: resolved_portfolio(a.portfolio_k)?,
-            ..FuzzConfig::default()
-        })
-        .with_solver_cache(solver_cache.clone());
+    let mut wasai = Wasai::new(module, abi).with_solver_cache(solver_cache.clone());
     if let Some(kind) = a.substrate {
         wasai = wasai.with_substrate(kind);
     }
@@ -449,9 +443,6 @@ struct AuditDirOpts {
     /// `--solver-cache FILE`: warm-start the fleet solver cache from FILE
     /// before the sweep and persist it back after (created if missing).
     solver_cache_path: Option<String>,
-    /// `--portfolio K`: portfolio width for hard SMT queries (None =
-    /// `WASAI_PORTFOLIO` env, else 1 = off).
-    portfolio_k: Option<usize>,
     /// `--profile-out FILE`: folded-stack span profile (virtual-clock
     /// weights, flamegraph-compatible, byte-identical at any job count).
     profile_path: Option<String>,
@@ -470,7 +461,6 @@ impl Default for AuditDirOpts {
             resume_path: None,
             substrate: None,
             solver_cache_path: None,
-            portfolio_k: None,
             profile_path: None,
             obs: ObsOpts::new(),
         }
@@ -496,21 +486,6 @@ impl AuditDirOpts {
     /// The journal destination: `--resume` wins, then `--journal`.
     fn journal_dest(&self) -> Option<&str> {
         self.resume_path.as_deref().or(self.journal_path.as_deref())
-    }
-}
-
-/// Portfolio width: flag, then `WASAI_PORTFOLIO`, then 1 (off).
-fn resolved_portfolio(flag: Option<usize>) -> Result<usize, String> {
-    if let Some(k) = flag {
-        return Ok(k.max(1));
-    }
-    match std::env::var("WASAI_PORTFOLIO") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .map(|k| k.max(1))
-            .map_err(|e| format!("WASAI_PORTFOLIO {v:?}: {e}")),
-        Err(_) => Ok(1),
     }
 }
 
@@ -586,7 +561,6 @@ struct CampaignCtx {
     tracing: bool,
     substrate: Option<SubstrateKind>,
     solver_cache: std::sync::Arc<wasai::wasai_smt::SolverCache>,
-    portfolio_k: usize,
 }
 
 /// Load, decode, and fuzz one contract — the campaign body shared by the
@@ -607,7 +581,6 @@ fn audit_campaign(
         .with_config(FuzzConfig {
             rng_seed: ctx.seed ^ (i as u64),
             deadline: ctx.deadline,
-            portfolio_k: ctx.portfolio_k,
             ..FuzzConfig::default()
         })
         .with_solver_cache(ctx.solver_cache.clone());
@@ -749,7 +722,6 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
         .filter_map(|(i, s)| s.is_none().then_some(i))
         .collect();
 
-    let portfolio_k = resolved_portfolio(opts.portfolio_k)?;
     let mut trace_lines = Vec::new();
     if pending.is_empty() {
         eprintln!("resume: every campaign is already journaled; rendering the report");
@@ -764,7 +736,6 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
             tracing,
             substrate: opts.substrate,
             solver_cache: open_solver_cache(opts.solver_cache_path.as_deref())?,
-            portfolio_k,
         };
         let audit_one = |i: usize, path: PathBuf| audit_campaign(i, &path, &ctx);
         let journal_cell = journal.take().map(std::sync::Mutex::new);
@@ -860,9 +831,6 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
             }
             if let Some(kind) = substrate {
                 cmd.arg("--substrate").arg(kind.name());
-            }
-            if portfolio_k > 1 {
-                cmd.arg("--portfolio").arg(portfolio_k.to_string());
             }
             if let Some(file) = &cache_path {
                 let shard = format!("{file}.shard-{}", indices.first().copied().unwrap_or(0));
@@ -1030,8 +998,8 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
 /// the supervisor, never meant to be typed by hand): audit the given
 /// campaign indices of `dir`'s sorted corpus on the in-process thread
 /// fleet, streaming the status protocol on stdout — one digest-checked
-/// outcome record per completed campaign, periodic heartbeat and seed-count
-/// relays, and a terminal `{"type":"done"}` marker.
+/// outcome record per completed campaign, periodic heartbeat relays and
+/// registry snapshot frames, and a terminal `{"type":"done"}` marker.
 fn audit_worker(dir: &str, w: &WorkerArgs) -> Result<(), String> {
     let indices = &w.indices;
     let (wasm_paths, names) = corpus(dir)?;
@@ -1055,10 +1023,10 @@ fn audit_worker(dir: &str, w: &WorkerArgs) -> Result<(), String> {
     // concurrent workers never write the same file.
     let solver_cache = open_solver_cache(w.solver_cache_in.as_deref())?;
 
-    // Heartbeat/stats pump: relay this process's heartbeat table and seed
-    // counter upstream a few times a second. `println!` holds the stdout
-    // lock for the whole call, so protocol lines never interleave; stdout
-    // is line-buffered, so completed lines survive even an abort().
+    // Heartbeat/metrics pump: relay this process's heartbeat table and
+    // registry snapshot upstream a few times a second. `println!` holds the
+    // stdout lock for the whole call, so protocol lines never interleave;
+    // stdout is line-buffered, so completed lines survive even an abort().
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let pump = {
         let stop = std::sync::Arc::clone(&stop);
@@ -1074,10 +1042,6 @@ fn audit_worker(dir: &str, w: &WorkerArgs) -> Result<(), String> {
                         r.stage.name()
                     );
                 }
-                println!(
-                    "{{\"type\":\"stats\",\"seeds\":{}}}",
-                    obs::global().counter(obs::Counter::SeedsExecuted)
-                );
                 // Full-registry snapshot frame: every counter, gauge, and
                 // histogram bucket crosses to the supervisor, which merges
                 // the delta since our previous frame. Losing one frame
@@ -1098,7 +1062,6 @@ fn audit_worker(dir: &str, w: &WorkerArgs) -> Result<(), String> {
         tracing: false,
         substrate: w.substrate,
         solver_cache,
-        portfolio_k: w.portfolio_k,
     };
     let audit_one = |i: usize, path: PathBuf| audit_campaign(i, &path, &ctx);
     // Serializes per-campaign shard saves across the worker's job threads.
@@ -1147,10 +1110,6 @@ fn audit_worker(dir: &str, w: &WorkerArgs) -> Result<(), String> {
     });
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let _ = pump.join();
-    println!(
-        "{{\"type\":\"stats\",\"seeds\":{}}}",
-        obs::global().counter(obs::Counter::SeedsExecuted)
-    );
     // Exit frame: the authoritative final registry state, emitted after
     // the fleet has quiesced so the supervisor's totals are exact even if
     // every periodic frame was missed.
@@ -1172,12 +1131,10 @@ struct WorkerArgs {
     solver_cache_in: Option<String>,
     /// `--solver-cache-out FILE`: this worker's private shard (write only).
     solver_cache_out: Option<String>,
-    portfolio_k: usize,
 }
 
 /// Parse `audit-worker`'s tail: `--seed N --indices CSV [--deadline-secs S]
-/// [--substrate NAME] [--solver-cache FILE] [--solver-cache-out FILE]
-/// [--portfolio K]`.
+/// [--substrate NAME] [--solver-cache FILE] [--solver-cache-out FILE]`.
 fn parse_audit_worker_args(rest: &[String]) -> Result<WorkerArgs, String> {
     let mut seed = None;
     let mut indices = None;
@@ -1185,7 +1142,6 @@ fn parse_audit_worker_args(rest: &[String]) -> Result<WorkerArgs, String> {
     let mut substrate = None;
     let mut solver_cache_in = None;
     let mut solver_cache_out = None;
-    let mut portfolio_k = 1usize;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -1200,10 +1156,6 @@ fn parse_audit_worker_args(rest: &[String]) -> Result<WorkerArgs, String> {
             "--solver-cache-out" => {
                 let v = it.next().ok_or("--solver-cache-out needs a file path")?;
                 solver_cache_out = Some(v.clone());
-            }
-            "--portfolio" => {
-                let v = it.next().ok_or("--portfolio needs a width")?;
-                portfolio_k = v.parse().map_err(|e| format!("--portfolio {v}: {e}"))?;
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -1234,7 +1186,6 @@ fn parse_audit_worker_args(rest: &[String]) -> Result<WorkerArgs, String> {
         substrate,
         solver_cache_in,
         solver_cache_out,
-        portfolio_k,
     })
 }
 
@@ -1522,15 +1473,11 @@ fn parse_audit_dir_args(rest: &[String]) -> Result<(u64, AuditDirOpts), String> 
                 let v = it.next().ok_or("--solver-cache needs a file path")?;
                 opts.solver_cache_path = Some(v.clone());
             }
-            "--portfolio" => {
-                let v = it.next().ok_or("--portfolio needs a width")?;
-                opts.portfolio_k = Some(v.parse().map_err(|e| format!("--portfolio {v}: {e}"))?);
-            }
             "--profile-out" => {
                 let v = it.next().ok_or("--profile-out needs a file path")?;
                 opts.profile_path = Some(v.clone());
             }
-            other if !seed_seen => {
+            other if !seed_seen && !other.starts_with("--") => {
                 seed = other
                     .parse()
                     .map_err(|e| format!("bad seed {other:?}: {e}"))?;
@@ -1543,14 +1490,13 @@ fn parse_audit_dir_args(rest: &[String]) -> Result<(u64, AuditDirOpts), String> 
 }
 
 /// Parse `audit`'s tail: positional `<wasm> <abi>` plus `--trace-out FILE`,
-/// `--solver-cache FILE`, `--portfolio K` and the observability flags, in
-/// any order.
+/// `--solver-cache FILE`, `--profile-out FILE` and the observability flags,
+/// in any order.
 fn parse_audit_args(rest: &[String]) -> Result<AuditArgs, String> {
     let mut positional: Vec<String> = Vec::new();
     let mut trace_out = None;
     let mut substrate = None;
     let mut solver_cache = None;
-    let mut portfolio_k = None;
     let mut profile_out = None;
     let mut obs_opts = ObsOpts::new();
     let mut it = rest.iter();
@@ -1570,10 +1516,6 @@ fn parse_audit_args(rest: &[String]) -> Result<AuditArgs, String> {
             "--solver-cache" => {
                 let v = it.next().ok_or("--solver-cache needs a file path")?;
                 solver_cache = Some(v.clone());
-            }
-            "--portfolio" => {
-                let v = it.next().ok_or("--portfolio needs a width")?;
-                portfolio_k = Some(v.parse().map_err(|e| format!("--portfolio {v}: {e}"))?);
             }
             "--profile-out" => {
                 let v = it.next().ok_or("--profile-out needs a file path")?;
@@ -1597,7 +1539,6 @@ fn parse_audit_args(rest: &[String]) -> Result<AuditArgs, String> {
         trace_out,
         substrate,
         solver_cache,
-        portfolio_k,
         profile_out,
         obs: obs_opts,
     })
@@ -1662,7 +1603,7 @@ fn parse_gen_args(rest: &[String]) -> Result<(usize, u64, Option<SubstrateKind>)
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let usage = "usage:\n  wasai audit <contract.wasm> <contract.abi> [--trace-out FILE] [--substrate eosio|cosmwasm|auto]\n              [--solver-cache FILE] [--portfolio K] [--profile-out FILE] [obs flags]\n  wasai audit-dir <dir> [seed] [--deadline-secs S] [--triage FILE] [--trace-out FILE]\n                  [--procs N] [--journal FILE] [--resume FILE] [--substrate eosio|cosmwasm|auto]\n                  [--solver-cache FILE] [--portfolio K] [--profile-out FILE] [obs flags]\n  wasai stats <trace-triage-or-metrics.json[l]> [--format table|json] [--fleet]\n  wasai gen <out-dir> [count] [seed] [--substrate eosio|cosmwasm]\n  wasai show <contract.wasm>\n\nobs flags: --metrics-addr HOST:PORT | --metrics-dump FILE | --progress | --no-progress | --stall-secs N";
+    let usage = "usage:\n  wasai audit <contract.wasm> <contract.abi> [--trace-out FILE] [--substrate eosio|cosmwasm|auto]\n              [--solver-cache FILE] [--profile-out FILE] [obs flags]\n  wasai audit-dir <dir> [seed] [--deadline-secs S] [--triage FILE] [--trace-out FILE]\n                  [--procs N] [--journal FILE] [--resume FILE] [--substrate eosio|cosmwasm|auto]\n                  [--solver-cache FILE] [--profile-out FILE] [obs flags]\n  wasai stats <trace-triage-or-metrics.json[l]> [--format table|json] [--fleet]\n  wasai gen <out-dir> [count] [seed] [--substrate eosio|cosmwasm]\n  wasai show <contract.wasm>\n\nobs flags: --metrics-addr HOST:PORT | --metrics-dump FILE | --progress | --no-progress | --stall-secs N";
     let result: Result<ExitCode, String> = match args.get(1).map(String::as_str) {
         Some("audit") if args.len() >= 4 => parse_audit_args(&args[2..])
             .and_then(|parsed| audit(&parsed).map(|()| ExitCode::SUCCESS)),
@@ -1727,18 +1668,20 @@ mod tests {
     }
 
     #[test]
-    fn audit_dir_parses_solver_cache_and_portfolio() {
-        let (seed, opts) = parse_audit_dir_args(&strs(&[
-            "7",
-            "--solver-cache",
-            "warm.cache",
-            "--portfolio",
-            "3",
-        ]))
-        .expect("parses");
+    fn audit_dir_parses_solver_cache_and_rejects_unknown_flags() {
+        let (seed, opts) =
+            parse_audit_dir_args(&strs(&["7", "--solver-cache", "warm.cache"])).expect("parses");
         assert_eq!(seed, 7);
         assert_eq!(opts.solver_cache_path.as_deref(), Some("warm.cache"));
-        assert_eq!(opts.portfolio_k, Some(3));
+        // An unknown flag is a usage error, never a silently ignored option
+        // or a seed — whether it comes after the seed or before it.
+        for args in [["5", "--bogus", "3"], ["--bogus", "3", "5"]] {
+            let err = parse_audit_dir_args(&strs(&args)).err().expect("rejected");
+            assert!(
+                err.contains("unexpected argument \"--bogus\""),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1752,31 +1695,33 @@ mod tests {
             "warm.cache",
             "--solver-cache-out",
             "warm.cache.shard-0",
-            "--portfolio",
-            "2",
         ]))
         .expect("parses");
         assert_eq!(w.seed, 9);
         assert_eq!(w.indices, vec![0, 2]);
         assert_eq!(w.solver_cache_in.as_deref(), Some("warm.cache"));
         assert_eq!(w.solver_cache_out.as_deref(), Some("warm.cache.shard-0"));
-        assert_eq!(w.portfolio_k, 2);
+        let err =
+            parse_audit_worker_args(&strs(&["--seed", "9", "--indices", "0", "--bogus", "2"]))
+                .err()
+                .expect("rejected");
+        assert!(
+            err.contains("unexpected argument \"--bogus\""),
+            "got {err:?}"
+        );
     }
 
     #[test]
     fn audit_args_parse_solver_cache() {
-        let a = parse_audit_args(&strs(&[
-            "c.wasm",
-            "c.abi",
-            "--solver-cache",
-            "warm.cache",
-            "--portfolio",
-            "4",
-        ]))
-        .expect("parses");
+        let a = parse_audit_args(&strs(&["c.wasm", "c.abi", "--solver-cache", "warm.cache"]))
+            .expect("parses");
         assert_eq!(a.wasm, "c.wasm");
         assert_eq!(a.solver_cache.as_deref(), Some("warm.cache"));
-        assert_eq!(a.portfolio_k, Some(4));
+        let err = parse_audit_args(&strs(&["c.wasm", "c.abi", "--bogus", "4"])).unwrap_err();
+        assert!(
+            err.contains("unexpected argument \"--bogus\""),
+            "got {err:?}"
+        );
     }
 
     #[test]

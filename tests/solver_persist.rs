@@ -9,9 +9,6 @@
 //!   the corpus, not of `WASAI_JOBS` or `--procs` — entries are idempotent
 //!   and eviction keeps the smallest N keys, so any arrival order converges
 //!   to the same bytes.
-//! - **Portfolio neutrality**: `--portfolio K` races variant configurations
-//!   for diagnostics only; verdicts and triage stay byte-identical to
-//!   `K = 1`.
 //! - **Durability**: a mid-file corruption is refused with a line number
 //!   (fail loudly, like the fleet journal), while other damage shapes are
 //!   covered by the unit suite in `crates/smt/src/persist.rs`.
@@ -65,7 +62,6 @@ fn run_audit_dir(dir: &Path, extra_args: &[&str], envs: &[(&str, &str)]) -> Swee
         .arg("300")
         .env_remove("WASAI_CHAOS")
         .env_remove("WASAI_PROCS")
-        .env_remove("WASAI_PORTFOLIO")
         .env("WASAI_JOBS", "2")
         .env("WASAI_PROGRESS", "0");
     for a in extra_args {
@@ -196,23 +192,6 @@ fn cache_file_is_independent_of_jobs_and_procs() {
             }
         }
     }
-}
-
-#[test]
-fn portfolio_races_never_change_reports() {
-    let dir = scratch_dir("persist-portfolio");
-    gen_corpus(&dir);
-    let base = run_audit_dir(&dir, &[], &[]);
-    assert_eq!(base.exit_code, 0, "base sweep failed: {}", base.stderr);
-    let flagged = run_audit_dir(&dir, &["--portfolio", "3"], &[]);
-    assert_eq!(flagged.exit_code, 0);
-    assert_eq!(
-        base.verdicts, flagged.verdicts,
-        "--portfolio 3 must not change reported verdicts"
-    );
-    let env_run = run_audit_dir(&dir, &[], &[("WASAI_PORTFOLIO", "3")]);
-    assert_eq!(env_run.exit_code, 0);
-    assert_eq!(base.verdicts, env_run.verdicts);
 }
 
 #[test]
