@@ -35,13 +35,15 @@
 //! # Atomicity and durability contract
 //!
 //! - The header is written to a `<path>.tmp` sibling, fsync'd, and
-//!   **renamed** into place (then the directory is fsync'd), so a journal
-//!   either exists with a valid header or not at all.
+//!   **renamed** into place (then the directory is fsync'd) by
+//!   [`wasai_obs::record::write_atomic`], so a journal either exists with a
+//!   valid header or not at all.
 //! - Records are appended as one `write` each and fsync'd (`sync_data`)
 //!   per append: after [`Journal::append`] returns, that outcome survives a
 //!   process kill *and* a power cut.
 //! - The parser tolerates exactly one torn write: a **final** line without
-//!   a trailing newline, or an unparsable final line, is dropped (and
+//!   a trailing newline, or an unparsable final line (including one cut
+//!   inside a multi-byte UTF-8 character), is dropped (and
 //!   truncated away before new appends). Corruption anywhere earlier is a
 //!   hard error — silent data loss in the middle of a journal means the
 //!   file is not what we wrote, and resuming from it would lie.
@@ -54,6 +56,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use wasai_obs::record::write_atomic;
 use wasai_obs::Fnv;
 
 use crate::telemetry::{json_escape, parse_json_fields};
@@ -303,15 +306,7 @@ impl Journal {
     /// tmp+rename (fsync'd file and directory), so the journal exists
     /// atomically or not at all. An existing file at `path` is replaced.
     pub fn create(path: &Path, meta: &JournalMeta) -> io::Result<Journal> {
-        let tmp = tmp_sibling(path);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(meta.header_line().as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        sync_parent_dir(path);
+        write_atomic(path, format!("{}\n", meta.header_line()).as_bytes())?;
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Journal {
             file,
@@ -345,25 +340,23 @@ impl Journal {
             .write(true)
             .open(path)
             .map_err(|e| format!("{display}: {e}"))?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)
             .map_err(|e| format!("{display}: {e}"))?;
 
-        // Split keeping byte offsets so a torn tail can be truncated away.
-        let mut lines: Vec<(usize, &str)> = Vec::new();
+        // Split bytes, keeping offsets so a torn tail can be truncated away,
+        // and decode line by line: a kill can cut the final line inside a
+        // multi-byte character, which must read as torn, not as a bad file.
+        let mut lines: Vec<(usize, &[u8])> = Vec::new();
         let mut offset = 0usize;
-        for line in text.split_inclusive('\n') {
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
             lines.push((offset, line));
             offset += line.len();
         }
-        let complete = |line: &str| line.ends_with('\n');
-
         let Some(&(_, header)) = lines.first() else {
             return Err(format!("{display}: empty journal (no header line)"));
         };
-        if !complete(header) {
-            return Err(format!("{display}: torn header line"));
-        }
+        let header = line_text(header).map_err(|e| format!("{display}: header line: {e}"))?;
         let found = JournalMeta::parse(header.trim_end())?;
         if &found != meta {
             return Err(format!(
@@ -374,15 +367,10 @@ impl Journal {
 
         let mut records: Vec<OutcomeRecord> = Vec::new();
         let mut seen = vec![false; meta.campaigns];
-        let mut keep_bytes = text.len();
+        let mut keep_bytes = bytes.len();
         for (li, &(off, line)) in lines.iter().enumerate().skip(1) {
             let last = li == lines.len() - 1;
-            let parsed = if complete(line) {
-                OutcomeRecord::parse(line.trim_end())
-            } else {
-                Err("torn line (no trailing newline)".to_string())
-            };
-            match parsed {
+            match line_text(line).and_then(|l| OutcomeRecord::parse(l.trim_end())) {
                 Ok(rec) => {
                     if rec.index >= meta.campaigns {
                         return Err(format!(
@@ -413,7 +401,7 @@ impl Journal {
                 }
             }
         }
-        if keep_bytes < text.len() {
+        if keep_bytes < bytes.len() {
             file.set_len(keep_bytes as u64)
                 .map_err(|e| format!("{display}: truncating torn tail: {e}"))?;
             file.sync_data().map_err(|e| format!("{display}: {e}"))?;
@@ -446,26 +434,13 @@ impl Journal {
     }
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Best-effort fsync of `path`'s parent directory, making the rename
-/// durable. Failure is ignored: some filesystems refuse directory fsync,
-/// and the record-level fsyncs still bound the loss to the header.
-fn sync_parent_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+/// One journal line as text: it must end in a newline (else it is torn)
+/// and decode as UTF-8.
+fn line_text(line: &[u8]) -> Result<&str, String> {
+    let line = line
+        .strip_suffix(b"\n")
+        .ok_or("torn line (no trailing newline)")?;
+    std::str::from_utf8(line).map_err(|e| format!("invalid UTF-8: {e}"))
 }
 
 #[cfg(test)]
@@ -586,6 +561,39 @@ mod tests {
         drop(j);
         let (_j, records) = Journal::open_or_resume(&path, &meta).expect("re-resume");
         assert_eq!(records, vec![rec(0, "ok"), rec(3, "ok")]);
+    }
+
+    #[test]
+    fn final_line_cut_inside_a_utf8_character_is_torn() {
+        let dir = scratch("torn-utf8");
+        let path = dir.join("sweep.journal");
+        let names = vec!["a.wasm".to_string(), "é.wasm".to_string()];
+        let meta = JournalMeta::new(5, &names);
+        let mut named = rec(1, "ok");
+        named.contract = names[1].clone();
+        let mut j = Journal::create(&path, &meta).expect("create");
+        j.append(&rec(0, "ok")).expect("append");
+        j.append(&named).expect("append");
+        drop(j);
+        // Cut after the first byte of `é`, the power-loss tail.
+        let bytes = std::fs::read(&path).expect("read");
+        let e_acute = "é".as_bytes()[0];
+        let cut = bytes.iter().rposition(|&b| b == e_acute).expect("é") + 1;
+        std::fs::write(&path, &bytes[..cut]).expect("tear");
+
+        let (mut j, records) = Journal::open_or_resume(&path, &meta).expect("resume");
+        assert_eq!(records, vec![rec(0, "ok")], "torn record must be dropped");
+        j.append(&named).expect("append after tear");
+        drop(j);
+
+        // The same invalid byte before the final line is corruption.
+        let mut bytes = std::fs::read(&path).expect("read");
+        let at = bytes.iter().position(|&b| b == e_acute).expect("é");
+        bytes.remove(at + 1);
+        bytes.extend_from_slice(format!("{}\n", rec(0, "ok").to_jsonl()).as_bytes());
+        std::fs::write(&path, bytes).expect("corrupt");
+        let err = Journal::open_or_resume(&path, &meta).expect_err("must fail");
+        assert!(err.contains("line 3") && err.contains("UTF-8"), "{err}");
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub mod expo;
 pub mod fnv;
 pub mod heartbeat;
 pub mod http;
+pub mod record;
 pub mod registry;
 pub mod snapshot;
 

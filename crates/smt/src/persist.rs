@@ -11,11 +11,10 @@
 //! wall-clock time.
 //!
 //! Durability discipline mirrors the fleet journal
-//! (`wasai-core`'s `fleet/journal.rs`), which cannot be imported here
-//! (`wasai-core` depends on this crate), so the small pieces — FNV-1a
-//! digests with field separators, tmp+fsync+rename creation, torn-tail
-//! tolerance, fail-fast on interior corruption — are reimplemented in the
-//! same shape:
+//! (`wasai-core`'s `fleet/journal.rs`): both take their FNV-1a digest
+//! ([`wasai_obs::Fnv`]) and their atomic writer
+//! ([`wasai_obs::record::write_atomic`]) from `wasai-obs`, and both
+//! tolerate a torn tail but fail fast on interior corruption:
 //!
 //! - **Header** pins the file format version *and* the canonical key
 //!   encoding version ([`crate::canon::CANON_VERSION`]): keys written under
@@ -37,10 +36,10 @@
 //! function of the entries ever stored — byte-identical at any worker
 //! count or process split.
 
-use std::fs::{self, File};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fs;
+use std::path::Path;
 
+use wasai_obs::record::write_atomic;
 use wasai_obs::Fnv;
 
 use crate::cache::{CachedOutcome, CachedQuery, SolverCache};
@@ -60,14 +59,22 @@ fn hex(bytes: &[u8]) -> String {
     out
 }
 
+/// Decode a hex field byte-wise, so a non-ASCII character is an error
+/// rather than a slice across a UTF-8 boundary.
 fn unhex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
+    let digit = |b: u8| {
+        char::from(b)
+            .to_digit(16)
+            .map(|d| d as u8)
+            .ok_or_else(|| "invalid hex field".to_string())
+    };
+    let bytes = s.as_bytes();
+    if !bytes.len().is_multiple_of(2) {
         return Err("odd-length hex field".into());
     }
-    (0..s.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&s[2 * i..2 * i + 2], 16).map_err(|_| "invalid hex field".into())
-        })
+    bytes
+        .chunks_exact(2)
+        .map(|pair| Ok(digit(pair[0])? << 4 | digit(pair[1])?))
         .collect()
 }
 
@@ -158,52 +165,20 @@ fn parse_record(line: &str) -> Result<(QueryKey, CachedQuery), String> {
     Ok((key, CachedQuery { outcome, stats }))
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Best-effort fsync of `path`'s parent directory, making the rename
-/// durable. Failure is ignored: some filesystems refuse directory fsync,
-/// and the worst case is losing the whole (reproducible) cache file.
-fn sync_parent_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-}
-
-/// Serialize `cache` to `path` atomically (tmp sibling + fsync + rename +
-/// parent fsync). Returns the number of records written.
+/// Serialize `cache` to `path` atomically (see
+/// [`wasai_obs::record::write_atomic`]). Returns the number of records
+/// written.
 pub fn save(path: &Path, cache: &SolverCache) -> Result<usize, String> {
     let entries = cache.snapshot();
-    let tmp = tmp_sibling(path);
-    let write = || -> std::io::Result<()> {
-        let mut f = File::create(&tmp)?;
-        let mut buf = String::with_capacity(64 * (entries.len() + 1));
-        buf.push_str(&header());
+    let mut buf = String::with_capacity(64 * (entries.len() + 1));
+    buf.push_str(&header());
+    buf.push('\n');
+    for (key, q) in &entries {
+        buf.push_str(&render_record(key, q));
         buf.push('\n');
-        for (key, q) in &entries {
-            buf.push_str(&render_record(key, q));
-            buf.push('\n');
-        }
-        f.write_all(buf.as_bytes())?;
-        f.sync_all()?;
-        fs::rename(&tmp, path)?;
-        Ok(())
-    };
-    if let Err(e) = write() {
-        let _ = fs::remove_file(&tmp);
-        return Err(format!("solver cache {}: {e}", path.display()));
     }
-    sync_parent_dir(path);
+    write_atomic(path, buf.as_bytes())
+        .map_err(|e| format!("solver cache {}: {e}", path.display()))?;
     Ok(entries.len())
 }
 
@@ -273,6 +248,7 @@ mod tests {
     use crate::canon::query_key;
     use crate::solver::{check, Budget};
     use crate::term::{CmpOp, TermPool};
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wasai-persist-{name}-{}", std::process::id()));
@@ -418,6 +394,31 @@ mod tests {
         fs::write(&path, format!("{}\n", lines.join("\n"))).expect("write");
         let err = load_into(&path, &SolverCache::new()).expect_err("must refuse");
         assert!(err.contains("line 3"), "{err}");
+    }
+
+    #[test]
+    fn non_ascii_hex_field_is_an_error_not_a_panic() {
+        // Digest-valid, so only the hex decoder stands between it and a
+        // slice across the two-byte `é`.
+        let body = ["aé0", "unsat", "0", "0", "0", "0"];
+        let mut f = Fnv::new();
+        for t in body {
+            f.field(t.as_bytes());
+        }
+        let line = format!("{} {:016x}", body.join(" "), f.finish());
+        assert!(parse_record(&line).is_err());
+
+        let dir = scratch("nonascii");
+        let path = dir.join("cache.wsc");
+        save(&path, &warmed()).expect("save");
+        let text = fs::read_to_string(&path).expect("read");
+        let (head, rest) = text.split_once('\n').expect("header line");
+        fs::write(&path, format!("{head}\n{line}\n{rest}")).expect("write");
+        let err = load_into(&path, &SolverCache::new()).expect_err("must refuse");
+        assert!(
+            err.contains("line 2") && err.contains("invalid hex"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,24 +1,16 @@
-//! The `wasai` command-line tool.
-//!
-//! ```text
-//! wasai audit     <contract.wasm> <contract.abi> [--trace-out FILE]
-//!                       [--substrate eosio|cosmwasm|auto] [--profile-out FILE] [obs flags]
-//!                                                 analyze a contract binary
-//! wasai audit-dir <dir> [seed] [--deadline-secs S] [--triage FILE] [--trace-out FILE]
-//!                       [--procs N] [--journal FILE] [--resume FILE]
-//!                       [--substrate eosio|cosmwasm|auto] [--profile-out FILE] [obs flags]
-//!                                                 analyze every *.wasm in a directory
-//! wasai stats     <trace-or-triage.jsonl> [--format table|json] [--fleet]
-//!                                                 summarize a telemetry trace or triage report
-//! wasai gen       <out-dir> [count] [seed] [--substrate eosio|cosmwasm]
-//!                                                 emit a labeled sample corpus
-//! wasai show      <contract.wasm>                 dump a WAT-like listing
-//! ```
+//! The `wasai` command-line tool: `audit` analyzes one contract binary,
+//! `audit-dir` every `*.wasm` in a directory, `stats` summarizes a
+//! telemetry trace, triage report or metrics dump, `gen` emits a labeled
+//! sample corpus and `show` dumps a WAT-like listing. Every subcommand
+//! parses through one flag table ([`FLAGS`]); running `wasai` with no
+//! arguments prints the usage text generated from it.
 //!
 //! `--substrate` pins the chain backend for every campaign; the default
 //! (`auto`) detects it per module from the entry exports (`apply` → eosio,
 //! `instantiate`/`execute` → cosmwasm). Worker subprocesses spawned by
-//! `--procs` inherit the flag verbatim.
+//! `--procs` inherit it, like every flag whose table row carries the
+//! forward mark: the supervisor hands each worker those flags' tokens
+//! verbatim, and the worker parses them with the same table.
 //!
 //! Observability flags (shared by `audit` and `audit-dir`):
 //!
@@ -86,14 +78,14 @@
 //!
 //! `--journal FILE` additionally appends each completed campaign's outcome
 //! record to a durable JSONL journal (fsync'd per record, digest-checked);
-//! `--resume FILE` is the same flag with intent spelled out: if FILE
+//! `--resume FILE` is a second spelling of the same flag: if FILE
 //! already holds records from an interrupted sweep of the same corpus and
 //! seed, those campaigns are restored without re-running and only the
 //! unfinished remainder executes. A torn final line (the power-loss case)
 //! is dropped and rewritten; any other corruption is a hard error. The
 //! aggregate report after a resume is byte-identical to an uninterrupted
-//! run. `audit-worker` is the internal worker entrypoint spawned by
-//! `--procs`; it is not part of the public interface.
+//! run. `audit-worker <dir> <seed> --indices CSV` is the internal worker
+//! entrypoint spawned by `--procs`; it is not part of the public interface.
 //!
 //! Exit codes: `0` — sweep completed, every contract audited cleanly (the
 //! contracts may still be *vulnerable*; findings are verdicts, not errors);
@@ -130,51 +122,224 @@ use wasai::wasai_obs as obs;
 use wasai::wasai_smt::Deadline;
 use wasai::wasai_wasm::{decode, display, encode};
 
-/// Observability options shared by `audit` and `audit-dir`.
+/// Every option of every subcommand, filled by [`parse`] from [`FLAGS`]
+/// and the subcommand's positionals in [`COMMANDS`].
 #[derive(Debug, Default)]
-struct ObsOpts {
-    /// `--metrics-addr ADDR`: serve Prometheus exposition over HTTP.
+struct Opts {
+    /// Path positionals in order: contract and ABI (`audit`), directory
+    /// (`audit-dir`, `audit-worker`, `gen`), input file (`stats`, `show`).
+    paths: Vec<String>,
+    /// `[seed]`: the sweep seed, or `gen`'s corpus seed.
+    seed: u64,
+    /// `gen`'s `[count]`.
+    count: usize,
+    trace_out: Option<String>,
+    triage: Option<String>,
+    deadline_secs: Option<f64>,
+    procs: Option<usize>,
+    /// `--journal`/`--resume`: durable outcome journal, restored from if it
+    /// already holds records of this sweep.
+    journal: Option<String>,
+    /// `None` = auto-detect per module.
+    substrate: Option<SubstrateKind>,
+    /// Fleet solver cache: warm-start source, and (outside `audit-worker`)
+    /// where the cache is saved back.
+    solver_cache: Option<String>,
+    /// `audit-worker`'s private cache shard (write only).
+    solver_cache_out: Option<String>,
+    /// `audit-worker`'s campaign indices.
+    indices: Vec<usize>,
+    profile_out: Option<String>,
     metrics_addr: Option<String>,
-    /// `--metrics-dump FILE`: one-shot JSON metrics snapshot at exit.
     metrics_dump: Option<String>,
-    /// `--progress` / `--no-progress` override (None = auto: stderr TTY).
+    /// `--progress`/`--no-progress` (None = auto: stderr is a terminal).
     progress: Option<bool>,
-    /// `--stall-secs N`: heartbeat stall threshold (default 30).
-    stall_secs: f64,
+    stall_secs: Option<f64>,
+    /// `stats --format json`.
+    json: bool,
+    fleet: bool,
+    /// The tokens of every forwarded flag, verbatim and in order.
+    forward: Vec<String>,
 }
 
-impl ObsOpts {
-    fn new() -> ObsOpts {
-        ObsOpts {
-            stall_secs: 30.0,
-            ..ObsOpts::default()
+/// One row of the flag table.
+struct Flag {
+    /// Spellings; the first is canonical.
+    names: &'static [&'static str],
+    /// Value metavar, or `None` for a switch.
+    value: Option<&'static str>,
+    /// Subcommands that accept the flag.
+    cmds: &'static [&'static str],
+    /// Whether `audit-dir --procs` hands the flag's tokens to every
+    /// `audit-worker`: set on each flag that can change a campaign.
+    forward: bool,
+    /// Write the value (`""` for a switch) into the flag's typed field.
+    set: fn(&mut Opts, &str) -> Result<(), String>,
+}
+
+const AUDITS: &[&str] = &["audit", "audit-dir"];
+const CAMPAIGNS: &[&str] = &["audit", "audit-dir", "audit-worker"];
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { names: &["--trace-out"], value: Some("FILE"), cmds: AUDITS, forward: false, set: |o, v| put(&mut o.trace_out, v) },
+    Flag { names: &["--triage"], value: Some("FILE"), cmds: &["audit-dir"], forward: false, set: |o, v| put(&mut o.triage, v) },
+    Flag { names: &["--deadline-secs"], value: Some("S"), cmds: &["audit-dir", "audit-worker"], forward: true,
+           set: |o, v| put(&mut o.deadline_secs, v) },
+    Flag { names: &["--procs"], value: Some("N"), cmds: &["audit-dir"], forward: false, set: |o, v| put(&mut o.procs, v) },
+    Flag { names: &["--journal", "--resume"], value: Some("FILE"), cmds: &["audit-dir"], forward: false,
+           set: |o, v| put(&mut o.journal, v) },
+    Flag { names: &["--substrate"], value: Some("eosio|cosmwasm|auto"), cmds: &["audit", "audit-dir", "audit-worker", "gen"],
+           forward: true, set: |o, v| {
+               o.substrate = (v != "auto").then(|| SubstrateKind::parse(v).ok_or("must be eosio, cosmwasm or auto")).transpose()?;
+               Ok(())
+           } },
+    Flag { names: &["--solver-cache"], value: Some("FILE"), cmds: CAMPAIGNS, forward: true, set: |o, v| put(&mut o.solver_cache, v) },
+    Flag { names: &["--solver-cache-out"], value: Some("FILE"), cmds: &["audit-worker"], forward: false,
+           set: |o, v| put(&mut o.solver_cache_out, v) },
+    Flag { names: &["--indices"], value: Some("CSV"), cmds: &["audit-worker"], forward: false, set: |o, v| {
+               let parts = v.split(',').map(str::trim).filter(|s| !s.is_empty());
+               o.indices = parts.map(str::parse::<usize>).collect::<Result<_, _>>().map_err(|e| e.to_string())?;
+               Ok(())
+           } },
+    Flag { names: &["--profile-out"], value: Some("FILE"), cmds: AUDITS, forward: false, set: |o, v| put(&mut o.profile_out, v) },
+    Flag { names: &["--metrics-addr"], value: Some("HOST:PORT"), cmds: AUDITS, forward: false, set: |o, v| put(&mut o.metrics_addr, v) },
+    Flag { names: &["--metrics-dump"], value: Some("FILE"), cmds: AUDITS, forward: false, set: |o, v| put(&mut o.metrics_dump, v) },
+    Flag { names: &["--progress"], value: None, cmds: AUDITS, forward: false, set: |o, _| put(&mut o.progress, "true") },
+    Flag { names: &["--no-progress"], value: None, cmds: AUDITS, forward: false, set: |o, _| put(&mut o.progress, "false") },
+    Flag { names: &["--stall-secs"], value: Some("N"), cmds: AUDITS, forward: false, set: |o, v| put(&mut o.stall_secs, v) },
+    Flag { names: &["--format"], value: Some("table|json"), cmds: &["stats"], forward: false, set: |o, v| {
+               o.json = match v { "json" => true, "table" => false, _ => return Err("must be table or json".into()) };
+               Ok(())
+           } },
+    Flag { names: &["--fleet"], value: None, cmds: &["stats"], forward: false, set: |o, _| { o.fleet = true; Ok(()) } },
+];
+
+/// Each subcommand's positionals in order, `<required>` or `[optional]`,
+/// with the text an omitted optional parses as (`3589` is `0xe05`).
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &[(&str, &str)])] = &[
+    ("audit",        &[("<contract.wasm>", ""), ("<contract.abi>", "")]),
+    ("audit-dir",    &[("<dir>", ""), ("[seed]", "3589")]),
+    ("audit-worker", &[("<dir>", ""), ("<seed>", "")]),
+    ("stats",        &[("<trace-triage-or-metrics.json[l]>", "")]),
+    ("gen",          &[("<out-dir>", ""), ("[count]", "10"), ("[seed]", "1")]),
+    ("show",         &[("<contract.wasm>", "")]),
+];
+
+/// Parse `v` into `field`.
+fn put<T: std::str::FromStr>(field: &mut Option<T>, v: &str) -> Result<(), String>
+where
+    T::Err: std::fmt::Display,
+{
+    *field = Some(v.parse().map_err(|e: T::Err| e.to_string())?);
+    Ok(())
+}
+
+/// Parse one subcommand's argv tail: every `--flag` is looked up among the
+/// [`FLAGS`] rows `cmd` accepts, everything else is a positional.
+fn parse(cmd: &str, args: &[String]) -> Result<Opts, String> {
+    let Some(&(_, positionals)) = COMMANDS.iter().find(|(name, _)| *name == cmd) else {
+        return Err(usage());
+    };
+    let mut o = Opts::default();
+    let mut given = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            given.push(arg.as_str());
+            continue;
+        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.names.contains(&arg.as_str()) && f.cmds.contains(&cmd))
+            .ok_or_else(|| format!("unexpected argument {arg:?}"))?;
+        let v = match flag.value {
+            Some(meta) => it.next().ok_or_else(|| format!("{arg} needs {meta}"))?,
+            None => "",
+        };
+        (flag.set)(&mut o, v).map_err(|e| format!("{arg} {v}: {e}"))?;
+        if flag.forward {
+            o.forward.push(arg.clone());
+            o.forward.extend(flag.value.map(|_| v.to_string()));
+        }
+    }
+    let required = positionals.iter().filter(|p| p.0.starts_with('<')).count();
+    if !(required..=positionals.len()).contains(&given.len()) {
+        let (verb, shown) = if given.len() < required {
+            ("needs", required)
+        } else {
+            ("takes at most", positionals.len())
+        };
+        let metas: Vec<&str> = positionals[..shown].iter().map(|&(m, _)| m).collect();
+        return Err(format!(
+            "{cmd} {verb} {}, got {} positional args",
+            metas.join(" "),
+            given.len()
+        ));
+    }
+    for (i, &(meta, default)) in positionals.iter().enumerate() {
+        let v = given.get(i).copied().unwrap_or(default);
+        let name = meta.trim_matches(['<', '>', '[', ']']);
+        let bad = |e: std::num::ParseIntError| format!("{cmd} {name} {v:?}: {e}");
+        match name {
+            "seed" => o.seed = v.parse().map_err(bad)?,
+            "count" => o.count = v.parse().map_err(bad)?,
+            _ => o.paths.push(v.to_string()),
+        }
+    }
+    Ok(o)
+}
+
+/// The usage text, generated from [`COMMANDS`] and [`FLAGS`].
+fn usage() -> String {
+    let mut out = String::from("usage:");
+    for &(cmd, positionals) in COMMANDS.iter().filter(|(c, _)| *c != "audit-worker") {
+        let mut line = format!("  wasai {cmd}");
+        let flags = FLAGS.iter().filter(|f| f.cmds.contains(&cmd));
+        let flags = flags.map(|f| {
+            format!(
+                "[{}{}]",
+                f.names.join("|"),
+                f.value.map_or(String::new(), |m| format!(" {m}"))
+            )
+        });
+        for word in positionals.iter().map(|&(m, _)| m.to_string()).chain(flags) {
+            if line.len() + word.len() > 96 {
+                out = format!("{out}\n{line}");
+                line = " ".repeat(8);
+            }
+            line = format!("{line} {word}");
+        }
+        out = format!("{out}\n{line}");
+    }
+    out
+}
+
+impl Opts {
+    /// Worker subprocess count: flag, then `WASAI_PROCS`, then 1.
+    fn resolved_procs(&self) -> Result<usize, String> {
+        if let Some(p) = self.procs {
+            return Ok(p.max(1));
+        }
+        match std::env::var("WASAI_PROCS") {
+            Ok(v) => v
+                .trim()
+                .parse::<usize>()
+                .map(|p| p.max(1))
+                .map_err(|e| format!("WASAI_PROCS {v:?}: {e}")),
+            Err(_) => Ok(1),
         }
     }
 
-    /// Try to consume one observability flag; `Ok(true)` if `arg` was ours.
-    fn parse_flag(
-        &mut self,
-        arg: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<bool, String> {
-        match arg {
-            "--metrics-addr" => {
-                let v = it.next().ok_or("--metrics-addr needs host:port")?;
-                self.metrics_addr = Some(v.clone());
-            }
-            "--metrics-dump" => {
-                let v = it.next().ok_or("--metrics-dump needs a file path")?;
-                self.metrics_dump = Some(v.clone());
-            }
-            "--progress" => self.progress = Some(true),
-            "--no-progress" => self.progress = Some(false),
-            "--stall-secs" => {
-                let v = it.next().ok_or("--stall-secs needs a value")?;
-                self.stall_secs = v.parse().map_err(|e| format!("--stall-secs {v}: {e}"))?;
-            }
-            _ => return Ok(false),
+    /// The wall-clock watchdog: `--deadline-secs` (zero or less disables
+    /// it), then `WASAI_DEADLINE`.
+    fn deadline(&self) -> Deadline {
+        match self.deadline_secs {
+            Some(secs) if secs > 0.0 => Deadline::after_secs(secs),
+            Some(_) => Deadline::NONE,
+            None => fleet::deadline_from_env(),
         }
-        Ok(true)
     }
 
     /// The metrics address, with the `WASAI_METRICS_ADDR` env fallback.
@@ -210,7 +375,7 @@ struct ObsSession {
 
 /// Start the requested observability surfaces for a run of `total`
 /// campaigns. Enables the global registry iff any surface is on.
-fn obs_start(opts: &ObsOpts, total: u64) -> Result<ObsSession, String> {
+fn obs_start(opts: &Opts, total: u64) -> Result<ObsSession, String> {
     let addr = opts.resolved_addr();
     let progress = opts.resolved_progress();
     if addr.is_some() || opts.metrics_dump.is_some() || progress {
@@ -250,7 +415,8 @@ fn obs_start(opts: &ObsOpts, total: u64) -> Result<ObsSession, String> {
         }
     });
     let monitor = progress.then(|| {
-        ProgressMonitor::new(total, Duration::from_secs_f64(opts.stall_secs.max(0.0)))
+        let stall = opts.stall_secs.unwrap_or(30.0).max(0.0);
+        ProgressMonitor::new(total, Duration::from_secs_f64(stall))
             .spawn(Duration::from_millis(500), std::io::stderr().is_terminal())
     });
     Ok(ObsSession { server, monitor })
@@ -258,7 +424,7 @@ fn obs_start(opts: &ObsOpts, total: u64) -> Result<ObsSession, String> {
 
 /// Tear a session down: stop the monitor, write the `--metrics-dump`
 /// snapshot, honor `WASAI_METRICS_LINGER_SECS`, then close the listener.
-fn obs_finish(mut session: ObsSession, opts: &ObsOpts) -> Result<(), String> {
+fn obs_finish(mut session: ObsSession, opts: &Opts) -> Result<(), String> {
     if let Some(mut monitor) = session.monitor.take() {
         monitor.stop();
     }
@@ -324,31 +490,8 @@ fn parse_abi(text: &str) -> Result<Abi, String> {
     Ok(Abi::new(actions))
 }
 
-/// Parse a `--substrate` value: `auto` means detect from the module's entry
-/// exports (`None`), anything else must be a known substrate name.
-fn parse_substrate(v: &str) -> Result<Option<SubstrateKind>, String> {
-    if v == "auto" {
-        return Ok(None);
-    }
-    SubstrateKind::parse(v)
-        .map(Some)
-        .ok_or_else(|| format!("--substrate must be eosio, cosmwasm or auto, got {v:?}"))
-}
-
-/// Parsed `audit` invocation: positionals plus every optional flag.
-#[derive(Debug)]
-struct AuditArgs {
-    wasm: String,
-    abi: String,
-    trace_out: Option<String>,
-    substrate: Option<SubstrateKind>,
-    solver_cache: Option<String>,
-    profile_out: Option<String>,
-    obs: ObsOpts,
-}
-
-fn audit(a: &AuditArgs) -> Result<(), String> {
-    let (wasm_path, abi_path) = (a.wasm.as_str(), a.abi.as_str());
+fn audit(a: &Opts) -> Result<(), String> {
+    let (wasm_path, abi_path) = (a.paths[0].as_str(), a.paths[1].as_str());
     let bytes = fs::read(wasm_path).map_err(|e| format!("{wasm_path}: {e}"))?;
     let module = decode::decode(&bytes).map_err(|e| format!("{wasm_path}: {e}"))?;
     let abi = parse_abi(&fs::read_to_string(abi_path).map_err(|e| format!("{abi_path}: {e}"))?)?;
@@ -358,7 +501,7 @@ fn audit(a: &AuditArgs) -> Result<(), String> {
         module.funcs.len(),
         abi.actions.len()
     );
-    let session = obs_start(&a.obs, 1)?;
+    let session = obs_start(a, 1)?;
     // A single audit never enters the fleet scheduler, so bracket the
     // campaign's heartbeat here for the stall detector.
     obs::worker::begin(0);
@@ -387,7 +530,7 @@ fn audit(a: &AuditArgs) -> Result<(), String> {
     if let Some(path) = a.solver_cache.as_deref() {
         save_solver_cache(path, &solver_cache)?;
     }
-    obs_finish(session, &a.obs)?;
+    obs_finish(session, a)?;
     let report = run_result?;
     if let Some(path) = a.profile_out.as_deref() {
         let campaign = std::path::Path::new(wasm_path).file_name().map_or_else(
@@ -417,76 +560,6 @@ fn audit(a: &AuditArgs) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Options for `audit-dir` beyond the directory and seed.
-struct AuditDirOpts {
-    /// Wall-clock watchdog from `--deadline-secs` (overrides
-    /// `WASAI_DEADLINE`).
-    deadline_secs: Option<f64>,
-    /// Destination for the JSON-lines triage report.
-    triage_path: Option<String>,
-    /// Destination for the JSON-lines telemetry trace.
-    trace_path: Option<String>,
-    /// `--procs N`: shard across worker subprocesses (None = `WASAI_PROCS`
-    /// env, else 1 = in-process).
-    procs: Option<usize>,
-    /// `--journal FILE`: durable outcome journal.
-    journal_path: Option<String>,
-    /// `--resume FILE`: journal to FILE and restore any outcomes already
-    /// recorded there.
-    resume_path: Option<String>,
-    /// `--substrate eosio|cosmwasm|auto`: pin the chain substrate for every
-    /// campaign (None = auto-detect per module). Inherited verbatim by
-    /// `audit-worker` subprocesses.
-    substrate: Option<SubstrateKind>,
-    /// `--solver-cache FILE`: warm-start the fleet solver cache from FILE
-    /// before the sweep and persist it back after (created if missing).
-    solver_cache_path: Option<String>,
-    /// `--profile-out FILE`: folded-stack span profile (virtual-clock
-    /// weights, flamegraph-compatible, byte-identical at any job count).
-    profile_path: Option<String>,
-    /// Observability surfaces (metrics listener, dump, progress monitor).
-    obs: ObsOpts,
-}
-
-impl Default for AuditDirOpts {
-    fn default() -> Self {
-        AuditDirOpts {
-            deadline_secs: None,
-            triage_path: None,
-            trace_path: None,
-            procs: None,
-            journal_path: None,
-            resume_path: None,
-            substrate: None,
-            solver_cache_path: None,
-            profile_path: None,
-            obs: ObsOpts::new(),
-        }
-    }
-}
-
-impl AuditDirOpts {
-    /// Worker subprocess count: flag, then `WASAI_PROCS`, then 1.
-    fn resolved_procs(&self) -> Result<usize, String> {
-        if let Some(p) = self.procs {
-            return Ok(p.max(1));
-        }
-        match std::env::var("WASAI_PROCS") {
-            Ok(v) => v
-                .trim()
-                .parse::<usize>()
-                .map(|p| p.max(1))
-                .map_err(|e| format!("WASAI_PROCS {v:?}: {e}")),
-            Err(_) => Ok(1),
-        }
-    }
-
-    /// The journal destination: `--resume` wins, then `--journal`.
-    fn journal_dest(&self) -> Option<&str> {
-        self.resume_path.as_deref().or(self.journal_path.as_deref())
-    }
 }
 
 /// Build the fleet solver cache, warm-started from `path` when one was
@@ -521,12 +594,6 @@ fn save_solver_cache(path: &str, cache: &wasai::wasai_smt::SolverCache) -> Resul
     Ok(())
 }
 
-/// Analyze every `*.wasm` (with `.abi` sidecar) in a directory, in parallel,
-/// with per-contract fault isolation.
-///
-/// Returns the documented sweep exit code: `0` when every contract audited
-/// cleanly, `2` when the sweep completed but some contracts failed, panicked
-/// or timed out.
 /// Discover the sorted `*.wasm` corpus of `dir` with its contract names.
 ///
 /// Sorted order fixes the campaign indices (and thus each campaign's seed),
@@ -644,14 +711,21 @@ fn record_from_run(
     }
 }
 
-fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, String> {
+/// Analyze every `*.wasm` (with `.abi` sidecar) in a directory, in parallel,
+/// with per-contract fault isolation.
+///
+/// Returns the documented sweep exit code: `0` when every contract audited
+/// cleanly, `2` when the sweep completed but some contracts failed, panicked
+/// or timed out.
+fn audit_dir(opts: &Opts) -> Result<ExitCode, String> {
+    let (dir, seed) = (opts.paths[0].as_str(), opts.seed);
     let (wasm_paths, names) = corpus(dir)?;
     let jobs = wasai::wasai_core::jobs_from_env();
     let procs = opts.resolved_procs()?;
     // Telemetry events do not cross the worker-process boundary, and a
     // resumed sweep skips journaled campaigns — either way the merged trace
     // would be incomplete, so refuse the combination up front.
-    if opts.trace_path.is_some() {
+    if opts.trace_out.is_some() {
         if procs > 1 {
             return Err(
                 "--trace-out is incompatible with --procs > 1 (telemetry events stay \
@@ -659,7 +733,7 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
                     .to_string(),
             );
         }
-        if opts.journal_dest().is_some() {
+        if opts.journal.is_some() {
             return Err(
                 "--trace-out is incompatible with --journal/--resume (a resumed sweep \
                  skips journaled campaigns, leaving the trace incomplete)"
@@ -667,11 +741,7 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
             );
         }
     }
-    let deadline = match opts.deadline_secs {
-        Some(secs) if secs > 0.0 => Deadline::after_secs(secs),
-        Some(_) => Deadline::NONE,
-        None => fleet::deadline_from_env(),
-    };
+    let deadline = opts.deadline();
     eprintln!(
         "auditing {} contracts from {dir} on {jobs} worker(s){}{}",
         wasm_paths.len(),
@@ -686,11 +756,11 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
         }
     );
 
-    let session = obs_start(&opts.obs, wasm_paths.len() as u64)?;
+    let session = obs_start(opts, wasm_paths.len() as u64)?;
     let start = std::time::Instant::now();
     // Campaigns run traced only when a trace destination was requested;
     // untraced sweeps attach no sink at all and behave exactly as before.
-    let tracing = opts.trace_path.is_some();
+    let tracing = opts.trace_out.is_some();
 
     // Every campaign outcome lands in its index-keyed slot: freshly run,
     // streamed from a worker subprocess, or restored from a journal. The
@@ -699,7 +769,7 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
     let meta = JournalMeta::new(seed, &names);
     let mut slots: Vec<Option<OutcomeRecord>> = names.iter().map(|_| None).collect();
     let mut journal = None;
-    if let Some(path) = opts.journal_dest() {
+    if let Some(path) = &opts.journal {
         let (j, restored) = Journal::open_or_resume(Path::new(path), &meta)?;
         if !restored.is_empty() {
             obs::add(obs::Counter::JournalReplayed, restored.len() as u64);
@@ -735,7 +805,7 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
             deadline,
             tracing,
             substrate: opts.substrate,
-            solver_cache: open_solver_cache(opts.solver_cache_path.as_deref())?,
+            solver_cache: open_solver_cache(opts.solver_cache.as_deref())?,
         };
         let audit_one = |i: usize, path: PathBuf| audit_campaign(i, &path, &ctx);
         let journal_cell = journal.take().map(std::sync::Mutex::new);
@@ -779,7 +849,7 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
             let idx = rec.index;
             slots[idx] = Some(rec);
         }
-        if let Some(path) = &opts.solver_cache_path {
+        if let Some(path) = &opts.solver_cache {
             save_solver_cache(path, &ctx.solver_cache)?;
         }
     } else {
@@ -805,36 +875,22 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
             stall_timeout: (stall_secs > 0.0).then(|| Duration::from_secs_f64(stall_secs)),
             poll: Duration::from_millis(25),
         };
-        let deadline_secs = opts.deadline_secs;
-        let substrate = opts.substrate;
-        // Each worker shard warm-starts from the shared cache file and saves
-        // its additions to a private sibling (`FILE.shard-<first-index>`);
-        // the supervisor merges the shards after the sweep. Shard names are
-        // keyed by the shard's first campaign index, so a retried worker
-        // overwrites its own shard instead of leaking a stale one.
+        // Each worker shard warm-starts from the shared cache file (which
+        // reaches it as a forwarded flag) and saves its additions to a
+        // private sibling (`FILE.shard-<first-index>`); the supervisor
+        // merges the shards after the sweep. Shard names are keyed by the
+        // shard's first campaign index, so a retried worker overwrites its
+        // own shard instead of leaking a stale one.
         let shard_paths = std::cell::RefCell::new(std::collections::BTreeSet::<String>::new());
-        let cache_path = opts.solver_cache_path.clone();
+        let cache_path = opts.solver_cache.clone();
         let spawn = |attempt: u32, indices: &[usize]| {
-            let csv: Vec<String> = indices.iter().map(ToString::to_string).collect();
             let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("audit-worker")
-                .arg(dir)
-                .arg("--seed")
-                .arg(seed.to_string())
-                .arg("--indices")
-                .arg(csv.join(","))
+            cmd.args(worker_args(opts, indices))
                 .env("WASAI_JOBS", worker_jobs.to_string())
                 .stdout(Stdio::piped())
                 .stderr(Stdio::inherit());
-            if let Some(secs) = deadline_secs {
-                cmd.arg("--deadline-secs").arg(secs.to_string());
-            }
-            if let Some(kind) = substrate {
-                cmd.arg("--substrate").arg(kind.name());
-            }
             if let Some(file) = &cache_path {
                 let shard = format!("{file}.shard-{}", indices.first().copied().unwrap_or(0));
-                cmd.arg("--solver-cache").arg(file);
                 cmd.arg("--solver-cache-out").arg(&shard);
                 shard_paths.borrow_mut().insert(shard);
             }
@@ -951,11 +1007,11 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
     );
     println!("{}", stats.summary());
 
-    if let Some(path) = &opts.triage_path {
+    if let Some(path) = &opts.triage {
         fs::write(path, triage_lines.join("\n") + "\n").map_err(|e| format!("{path}: {e}"))?;
         eprintln!("triage report written to {path}");
     }
-    if let Some(path) = &opts.trace_path {
+    if let Some(path) = &opts.trace_out {
         let body = if trace_lines.is_empty() {
             String::new()
         } else {
@@ -967,7 +1023,7 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
             trace_lines.len()
         );
     }
-    if let Some(path) = &opts.profile_path {
+    if let Some(path) = &opts.profile_out {
         // Spans in sweep order from the deterministic record fields — any
         // WASAI_JOBS or --procs value folds to the same bytes.
         let spans: Vec<profile::ProfileSpan> = slots
@@ -985,7 +1041,7 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
     // Finish observability last (the dump reflects the whole run, and the
     // listener's linger window must not delay the triage/trace files that
     // scrapers wait on).
-    obs_finish(session, &opts.obs)?;
+    obs_finish(session, opts)?;
 
     Ok(if failures == 0 {
         ExitCode::SUCCESS
@@ -994,15 +1050,33 @@ fn audit_dir(dir: &str, seed: u64, opts: &AuditDirOpts) -> Result<ExitCode, Stri
     })
 }
 
+/// The argv (after the executable) of an `audit-worker` that runs
+/// `indices` of the sweep `opts` describes: the sweep's directory and seed,
+/// the indices, then every forwarded flag's tokens as the supervisor got
+/// them.
+fn worker_args(opts: &Opts, indices: &[usize]) -> Vec<String> {
+    let csv: Vec<String> = indices.iter().map(ToString::to_string).collect();
+    let head = [
+        "audit-worker".to_string(),
+        opts.paths[0].clone(),
+        opts.seed.to_string(),
+        "--indices".to_string(),
+        csv.join(","),
+    ];
+    head.into_iter()
+        .chain(opts.forward.iter().cloned())
+        .collect()
+}
+
 /// The internal worker entrypoint behind `audit-dir --procs` (spawned by
 /// the supervisor, never meant to be typed by hand): audit the given
 /// campaign indices of `dir`'s sorted corpus on the in-process thread
 /// fleet, streaming the status protocol on stdout — one digest-checked
 /// outcome record per completed campaign, periodic heartbeat relays and
 /// registry snapshot frames, and a terminal `{"type":"done"}` marker.
-fn audit_worker(dir: &str, w: &WorkerArgs) -> Result<(), String> {
+fn audit_worker(w: &Opts) -> Result<(), String> {
     let indices = &w.indices;
-    let (wasm_paths, names) = corpus(dir)?;
+    let (wasm_paths, names) = corpus(&w.paths[0])?;
     if let Some(&bad) = indices.iter().find(|&&i| i >= names.len()) {
         return Err(format!(
             "--indices {bad}: corpus has only {} contracts",
@@ -1012,16 +1086,12 @@ fn audit_worker(dir: &str, w: &WorkerArgs) -> Result<(), String> {
     // The registry and heartbeat table feed the status relay, so a worker
     // is always instrumented; the supervisor decides what to surface.
     obs::enable();
-    let deadline = match w.deadline_secs {
-        Some(secs) if secs > 0.0 => Deadline::after_secs(secs),
-        Some(_) => Deadline::NONE,
-        None => fleet::deadline_from_env(),
-    };
+    let deadline = w.deadline();
     let jobs = wasai::wasai_core::jobs_from_env();
     // Warm-start from the shared cache file; additions are saved to this
     // worker's private shard (the supervisor merges shards afterwards), so
     // concurrent workers never write the same file.
-    let solver_cache = open_solver_cache(w.solver_cache_in.as_deref())?;
+    let solver_cache = open_solver_cache(w.solver_cache.as_deref())?;
 
     // Heartbeat/metrics pump: relay this process's heartbeat table and
     // registry snapshot upstream a few times a second. `println!` holds the
@@ -1121,74 +1191,6 @@ fn audit_worker(dir: &str, w: &WorkerArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Parsed `audit-worker` invocation (everything after the directory).
-struct WorkerArgs {
-    seed: u64,
-    indices: Vec<usize>,
-    deadline_secs: Option<f64>,
-    substrate: Option<SubstrateKind>,
-    /// `--solver-cache FILE`: shared warm-start source (read only).
-    solver_cache_in: Option<String>,
-    /// `--solver-cache-out FILE`: this worker's private shard (write only).
-    solver_cache_out: Option<String>,
-}
-
-/// Parse `audit-worker`'s tail: `--seed N --indices CSV [--deadline-secs S]
-/// [--substrate NAME] [--solver-cache FILE] [--solver-cache-out FILE]`.
-fn parse_audit_worker_args(rest: &[String]) -> Result<WorkerArgs, String> {
-    let mut seed = None;
-    let mut indices = None;
-    let mut deadline = None;
-    let mut substrate = None;
-    let mut solver_cache_in = None;
-    let mut solver_cache_out = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--substrate" => {
-                let v = it.next().ok_or("--substrate needs a value")?;
-                substrate = parse_substrate(v)?;
-            }
-            "--solver-cache" => {
-                let v = it.next().ok_or("--solver-cache needs a file path")?;
-                solver_cache_in = Some(v.clone());
-            }
-            "--solver-cache-out" => {
-                let v = it.next().ok_or("--solver-cache-out needs a file path")?;
-                solver_cache_out = Some(v.clone());
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                seed = Some(v.parse().map_err(|e| format!("--seed {v}: {e}"))?);
-            }
-            "--indices" => {
-                let v = it.next().ok_or("--indices needs a comma-separated list")?;
-                let mut list = Vec::new();
-                for part in v.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                    list.push(
-                        part.parse()
-                            .map_err(|e| format!("--indices {part:?}: {e}"))?,
-                    );
-                }
-                indices = Some(list);
-            }
-            "--deadline-secs" => {
-                let v = it.next().ok_or("--deadline-secs needs a value")?;
-                deadline = Some(v.parse().map_err(|e| format!("--deadline-secs {v}: {e}"))?);
-            }
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    Ok(WorkerArgs {
-        seed: seed.ok_or("audit-worker needs --seed")?,
-        indices: indices.ok_or("audit-worker needs --indices")?,
-        deadline_secs: deadline,
-        substrate,
-        solver_cache_in,
-        solver_cache_out,
-    })
-}
-
 fn gen(
     out_dir: &str,
     count: usize,
@@ -1244,13 +1246,6 @@ fn gen_cw(out_dir: &str, count: usize, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Summarize a JSONL telemetry trace (`--trace-out`), a triage report
-/// (`--triage`), or a metrics dump (`--metrics-dump`) as a human-readable
-/// table.
-///
-/// The formats are distinguished structurally: a metrics dump is one
-/// pretty-printed JSON object (first line is a bare `{`), trace lines carry
-/// `"event"`, triage lines carry `"contract"`.
 /// Split a `shard="N"` label out of a Prometheus series name, returning the
 /// name with the remaining labels intact: `wasai_campaigns_total{outcome="ok",shard="1"}`
 /// becomes `(wasai_campaigns_total{outcome="ok"}, Some(1))`.
@@ -1297,7 +1292,14 @@ fn render_series_table(rows: &[(String, &telemetry::JsonValue)]) {
     }
 }
 
-fn stats_cmd(path: &str, format: &str, fleet: bool) -> Result<(), String> {
+/// Summarize a JSONL telemetry trace (`--trace-out`), a triage report
+/// (`--triage`), or a metrics dump (`--metrics-dump`) as a human-readable
+/// table.
+///
+/// The formats are distinguished structurally: a metrics dump is one
+/// pretty-printed JSON object (first line is a bare `{`), trace lines carry
+/// `"event"`, triage lines carry `"contract"`.
+fn stats_cmd(path: &str, json: bool, fleet: bool) -> Result<(), String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let first = text
         .lines()
@@ -1309,7 +1311,7 @@ fn stats_cmd(path: &str, format: &str, fleet: bool) -> Result<(), String> {
         // counters with no telemetry event live, e.g.
         // `wasai_smt_cache_store_dropped_total`).
         let fields = telemetry::parse_json_fields(&text).map_err(|e| format!("{path}: {e}"))?;
-        if format == "json" {
+        if json {
             print!("{text}");
             return Ok(());
         }
@@ -1355,7 +1357,7 @@ fn stats_cmd(path: &str, format: &str, fleet: bool) -> Result<(), String> {
     if fields.contains_key("event") {
         let events = telemetry::parse_trace(&text).map_err(|e| format!("{path}: {e}"))?;
         let metrics = Metrics::from_events(events.iter().map(|(_, ev)| ev));
-        if format == "json" {
+        if json {
             // Machine-readable, keyed by the same Prometheus series names
             // the live `/metrics` exposition uses.
             print!("{}", obs_bridge::metrics_json(&metrics));
@@ -1369,7 +1371,7 @@ fn stats_cmd(path: &str, format: &str, fleet: bool) -> Result<(), String> {
         );
         print!("{}", metrics.render());
         Ok(())
-    } else if format == "json" {
+    } else if json {
         Err(format!(
             "{path}: --format json requires a telemetry trace (triage reports are already JSON lines)"
         ))
@@ -1427,199 +1429,23 @@ fn show(wasm_path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse `audit-dir`'s tail: positional `[seed]` plus `--deadline-secs S`,
-/// `--triage FILE`, `--trace-out FILE`, and the observability flags, in any
-/// order.
-fn parse_audit_dir_args(rest: &[String]) -> Result<(u64, AuditDirOpts), String> {
-    let mut seed = 0xe05u64;
-    let mut seed_seen = false;
-    let mut opts = AuditDirOpts::default();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if opts.obs.parse_flag(arg, &mut it)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--deadline-secs" => {
-                let v = it.next().ok_or("--deadline-secs needs a value")?;
-                opts.deadline_secs =
-                    Some(v.parse().map_err(|e| format!("--deadline-secs {v}: {e}"))?);
-            }
-            "--triage" => {
-                let v = it.next().ok_or("--triage needs a file path")?;
-                opts.triage_path = Some(v.clone());
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a file path")?;
-                opts.trace_path = Some(v.clone());
-            }
-            "--procs" => {
-                let v = it.next().ok_or("--procs needs a count")?;
-                opts.procs = Some(v.parse().map_err(|e| format!("--procs {v}: {e}"))?);
-            }
-            "--journal" => {
-                let v = it.next().ok_or("--journal needs a file path")?;
-                opts.journal_path = Some(v.clone());
-            }
-            "--resume" => {
-                let v = it.next().ok_or("--resume needs a journal file path")?;
-                opts.resume_path = Some(v.clone());
-            }
-            "--substrate" => {
-                let v = it.next().ok_or("--substrate needs a value")?;
-                opts.substrate = parse_substrate(v)?;
-            }
-            "--solver-cache" => {
-                let v = it.next().ok_or("--solver-cache needs a file path")?;
-                opts.solver_cache_path = Some(v.clone());
-            }
-            "--profile-out" => {
-                let v = it.next().ok_or("--profile-out needs a file path")?;
-                opts.profile_path = Some(v.clone());
-            }
-            other if !seed_seen && !other.starts_with("--") => {
-                seed = other
-                    .parse()
-                    .map_err(|e| format!("bad seed {other:?}: {e}"))?;
-                seed_seen = true;
-            }
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    Ok((seed, opts))
-}
-
-/// Parse `audit`'s tail: positional `<wasm> <abi>` plus `--trace-out FILE`,
-/// `--solver-cache FILE`, `--profile-out FILE` and the observability flags,
-/// in any order.
-fn parse_audit_args(rest: &[String]) -> Result<AuditArgs, String> {
-    let mut positional: Vec<String> = Vec::new();
-    let mut trace_out = None;
-    let mut substrate = None;
-    let mut solver_cache = None;
-    let mut profile_out = None;
-    let mut obs_opts = ObsOpts::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if obs_opts.parse_flag(arg, &mut it)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a file path")?;
-                trace_out = Some(v.clone());
-            }
-            "--substrate" => {
-                let v = it.next().ok_or("--substrate needs a value")?;
-                substrate = parse_substrate(v)?;
-            }
-            "--solver-cache" => {
-                let v = it.next().ok_or("--solver-cache needs a file path")?;
-                solver_cache = Some(v.clone());
-            }
-            "--profile-out" => {
-                let v = it.next().ok_or("--profile-out needs a file path")?;
-                profile_out = Some(v.clone());
-            }
-            other if !other.starts_with("--") && positional.len() < 2 => {
-                positional.push(other.to_string());
-            }
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    let [wasm, abi] = positional.try_into().map_err(|p: Vec<String>| {
-        format!(
-            "audit needs <contract.wasm> <contract.abi>, got {} positional args",
-            p.len()
-        )
-    })?;
-    Ok(AuditArgs {
-        wasm,
-        abi,
-        trace_out,
-        substrate,
-        solver_cache,
-        profile_out,
-        obs: obs_opts,
-    })
-}
-
-/// Parse `stats`'s tail: `--format table|json` and `--fleet`, in any order.
-fn parse_stats_args(rest: &[String]) -> Result<(String, bool), String> {
-    let mut format = "table".to_string();
-    let mut fleet = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => {
-                let v = it.next().ok_or("--format needs a value")?;
-                match v.as_str() {
-                    "table" | "json" => format = v.clone(),
-                    other => return Err(format!("--format must be table or json, got {other:?}")),
-                }
-            }
-            "--fleet" => fleet = true,
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    Ok((format, fleet))
-}
-
-/// Parse `gen`'s tail: positional `[count] [seed]` plus an optional
-/// `--substrate NAME` anywhere.
-///
-/// A malformed count or seed is a usage error, not a silent fallback: the
-/// old `.parse().ok().unwrap_or(…)` pattern turned `wasai gen out 1O0`
-/// (typo'd letter O) into a 10-contract corpus with no hint anything was
-/// wrong — poison for reproducibility scripts that record the command line.
-fn parse_gen_args(rest: &[String]) -> Result<(usize, u64, Option<SubstrateKind>), String> {
-    let mut positional = Vec::new();
-    let mut substrate = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--substrate" {
-            let v = it.next().ok_or("--substrate needs a value")?;
-            substrate = parse_substrate(v)?;
-        } else {
-            positional.push(arg.clone());
-        }
-    }
-    if positional.len() > 2 {
-        return Err(format!(
-            "gen takes at most [count] [seed], got {} positional args",
-            positional.len()
-        ));
-    }
-    let count = match positional.first() {
-        Some(v) => v.parse().map_err(|e| format!("gen count {v:?}: {e}"))?,
-        None => 10,
-    };
-    let seed = match positional.get(1) {
-        Some(v) => v.parse().map_err(|e| format!("gen seed {v:?}: {e}"))?,
-        None => 1,
-    };
-    Ok((count, seed, substrate))
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let usage = "usage:\n  wasai audit <contract.wasm> <contract.abi> [--trace-out FILE] [--substrate eosio|cosmwasm|auto]\n              [--solver-cache FILE] [--profile-out FILE] [obs flags]\n  wasai audit-dir <dir> [seed] [--deadline-secs S] [--triage FILE] [--trace-out FILE]\n                  [--procs N] [--journal FILE] [--resume FILE] [--substrate eosio|cosmwasm|auto]\n                  [--solver-cache FILE] [--profile-out FILE] [obs flags]\n  wasai stats <trace-triage-or-metrics.json[l]> [--format table|json] [--fleet]\n  wasai gen <out-dir> [count] [seed] [--substrate eosio|cosmwasm]\n  wasai show <contract.wasm>\n\nobs flags: --metrics-addr HOST:PORT | --metrics-dump FILE | --progress | --no-progress | --stall-secs N";
-    let result: Result<ExitCode, String> = match args.get(1).map(String::as_str) {
-        Some("audit") if args.len() >= 4 => parse_audit_args(&args[2..])
-            .and_then(|parsed| audit(&parsed).map(|()| ExitCode::SUCCESS)),
-        Some("audit-dir") if args.len() >= 3 => parse_audit_dir_args(&args[3..])
-            .and_then(|(seed, opts)| audit_dir(&args[2], seed, &opts)),
-        Some("audit-worker") if args.len() >= 3 => parse_audit_worker_args(&args[3..])
-            .and_then(|parsed| audit_worker(&args[2], &parsed).map(|()| ExitCode::SUCCESS)),
-        Some("stats") if args.len() >= 3 => parse_stats_args(&args[3..])
-            .and_then(|(format, fleet)| stats_cmd(&args[2], &format, fleet))
-            .map(|()| ExitCode::SUCCESS),
-        Some("gen") if args.len() >= 3 => parse_gen_args(&args[3..])
-            .and_then(|(count, seed, sub)| gen(&args[2], count, seed, sub))
-            .map(|()| ExitCode::SUCCESS),
-        Some("show") if args.len() == 3 => show(&args[2]).map(|()| ExitCode::SUCCESS),
-        _ => Err(usage.to_string()),
-    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let result = args
+        .split_first()
+        .ok_or_else(usage)
+        .and_then(|(cmd, tail)| {
+            let o = parse(cmd, tail)?;
+            let done = match cmd.as_str() {
+                "audit" => audit(&o),
+                "audit-dir" => return audit_dir(&o),
+                "audit-worker" => audit_worker(&o),
+                "stats" => stats_cmd(&o.paths[0], o.json, o.fleet),
+                "gen" => gen(&o.paths[0], o.count, o.seed, o.substrate),
+                _ => show(&o.paths[0]),
+            };
+            done.map(|()| ExitCode::SUCCESS)
+        });
     match result {
         Ok(code) => code,
         Err(e) => {
@@ -1633,132 +1459,153 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn strs(args: &[&str]) -> Vec<String> {
-        args.iter().map(ToString::to_string).collect()
+    /// Parse `cmd` with a whitespace-separated argv tail.
+    fn parse_line(cmd: &str, line: &str) -> Result<Opts, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(cmd, &args)
+    }
+
+    fn parse_ok(cmd: &str, line: &str) -> Opts {
+        parse_line(cmd, line).expect("parses")
+    }
+
+    fn parse_err(cmd: &str, line: &str) -> String {
+        parse_line(cmd, line).expect_err("rejected")
     }
 
     #[test]
     fn gen_defaults_when_no_positionals() {
-        let (count, seed, sub) = parse_gen_args(&[]).expect("defaults parse");
-        assert_eq!((count, seed), (10, 1));
-        assert!(sub.is_none());
+        let o = parse_ok("gen", "out");
+        assert_eq!((o.count, o.seed, o.substrate), (10, 1, None));
     }
 
     #[test]
     fn gen_malformed_count_is_a_usage_error_not_a_fallback() {
         // The regression: `1O0` (letter O) used to silently become count=10.
-        let err = parse_gen_args(&strs(&["1O0"])).unwrap_err();
+        let err = parse_err("gen", "out 1O0");
         assert!(err.contains("gen count \"1O0\""), "got {err:?}");
-        let err = parse_gen_args(&strs(&["5", "0x12"])).unwrap_err();
+        let err = parse_err("gen", "out 5 0x12");
         assert!(err.contains("gen seed \"0x12\""), "got {err:?}");
     }
 
     #[test]
     fn gen_rejects_extra_positionals() {
-        let err = parse_gen_args(&strs(&["5", "9", "7"])).unwrap_err();
+        let err = parse_err("gen", "out 5 9 7");
         assert!(err.contains("at most"), "got {err:?}");
     }
 
     #[test]
     fn gen_parses_count_seed_and_substrate_anywhere() {
-        let (count, seed, sub) =
-            parse_gen_args(&strs(&["8", "--substrate", "cosmwasm", "42"])).expect("parses");
-        assert_eq!((count, seed), (8, 42));
-        assert_eq!(sub, Some(SubstrateKind::Cosmwasm));
+        let o = parse_ok("gen", "out 8 --substrate cosmwasm 42");
+        assert_eq!((o.count, o.seed), (8, 42));
+        assert_eq!(o.substrate, Some(SubstrateKind::Cosmwasm));
     }
 
     #[test]
     fn audit_dir_parses_solver_cache_and_rejects_unknown_flags() {
-        let (seed, opts) =
-            parse_audit_dir_args(&strs(&["7", "--solver-cache", "warm.cache"])).expect("parses");
-        assert_eq!(seed, 7);
-        assert_eq!(opts.solver_cache_path.as_deref(), Some("warm.cache"));
+        let o = parse_ok("audit-dir", "d 7 --solver-cache warm.cache");
+        assert_eq!(o.seed, 7);
+        assert_eq!(o.solver_cache.as_deref(), Some("warm.cache"));
         // An unknown flag is a usage error, never a silently ignored option
         // or a seed — whether it comes after the seed or before it.
-        for args in [["5", "--bogus", "3"], ["--bogus", "3", "5"]] {
-            let err = parse_audit_dir_args(&strs(&args)).err().expect("rejected");
-            assert!(
-                err.contains("unexpected argument \"--bogus\""),
-                "got {err:?}"
-            );
+        for line in ["d 5 --bogus 3", "d --bogus 3 5"] {
+            let err = parse_err("audit-dir", line);
+            assert!(err.contains("unexpected argument \"--bogus\""), "{err}");
         }
     }
 
     #[test]
     fn audit_worker_parses_cache_shard_flags() {
-        let w = parse_audit_worker_args(&strs(&[
-            "--seed",
-            "9",
-            "--indices",
-            "0,2",
-            "--solver-cache",
-            "warm.cache",
-            "--solver-cache-out",
-            "warm.cache.shard-0",
-        ]))
-        .expect("parses");
-        assert_eq!(w.seed, 9);
-        assert_eq!(w.indices, vec![0, 2]);
-        assert_eq!(w.solver_cache_in.as_deref(), Some("warm.cache"));
-        assert_eq!(w.solver_cache_out.as_deref(), Some("warm.cache.shard-0"));
-        let err =
-            parse_audit_worker_args(&strs(&["--seed", "9", "--indices", "0", "--bogus", "2"]))
-                .err()
-                .expect("rejected");
-        assert!(
-            err.contains("unexpected argument \"--bogus\""),
-            "got {err:?}"
+        let w = parse_ok(
+            "audit-worker",
+            "d 9 --indices 0,2 --solver-cache warm.cache --solver-cache-out warm.cache.shard-0",
         );
+        assert_eq!((w.seed, w.indices.as_slice()), (9, &[0, 2][..]));
+        assert_eq!(w.solver_cache.as_deref(), Some("warm.cache"));
+        assert_eq!(w.solver_cache_out.as_deref(), Some("warm.cache.shard-0"));
+        let err = parse_err("audit-worker", "d 9 --indices 0 --bogus 2");
+        assert!(err.contains("unexpected argument \"--bogus\""), "{err}");
     }
 
     #[test]
     fn audit_args_parse_solver_cache() {
-        let a = parse_audit_args(&strs(&["c.wasm", "c.abi", "--solver-cache", "warm.cache"]))
-            .expect("parses");
-        assert_eq!(a.wasm, "c.wasm");
+        let a = parse_ok("audit", "c.wasm c.abi --solver-cache warm.cache");
+        assert_eq!(a.paths, ["c.wasm", "c.abi"]);
         assert_eq!(a.solver_cache.as_deref(), Some("warm.cache"));
-        let err = parse_audit_args(&strs(&["c.wasm", "c.abi", "--bogus", "4"])).unwrap_err();
-        assert!(
-            err.contains("unexpected argument \"--bogus\""),
-            "got {err:?}"
-        );
+        let err = parse_err("audit", "c.wasm c.abi --bogus 4");
+        assert!(err.contains("unexpected argument \"--bogus\""), "{err}");
     }
 
     #[test]
     fn audit_args_parse_profile_out() {
-        let a = parse_audit_args(&strs(&["c.wasm", "c.abi", "--profile-out", "p.folded"]))
-            .expect("parses");
+        let a = parse_ok("audit", "c.wasm c.abi --profile-out p.folded");
         assert_eq!(a.profile_out.as_deref(), Some("p.folded"));
-        let err = parse_audit_args(&strs(&["c.wasm", "c.abi", "--profile-out"])).unwrap_err();
+        let err = parse_err("audit", "c.wasm c.abi --profile-out");
         assert!(err.contains("--profile-out"), "got {err:?}");
     }
 
     #[test]
     fn audit_dir_parses_profile_out_anywhere() {
-        let (seed, opts) =
-            parse_audit_dir_args(&strs(&["--profile-out", "sweep.folded", "11"])).expect("parses");
-        assert_eq!(seed, 11);
-        assert_eq!(opts.profile_path.as_deref(), Some("sweep.folded"));
+        let o = parse_ok("audit-dir", "d --profile-out sweep.folded 11");
+        assert_eq!(o.seed, 11);
+        assert_eq!(o.profile_out.as_deref(), Some("sweep.folded"));
     }
 
     #[test]
     fn stats_args_default_and_flags() {
-        assert_eq!(
-            parse_stats_args(&[]).expect("defaults"),
-            ("table".into(), false)
-        );
-        assert_eq!(
-            parse_stats_args(&strs(&["--fleet"])).expect("fleet"),
-            ("table".into(), true)
-        );
-        assert_eq!(
-            parse_stats_args(&strs(&["--format", "json", "--fleet"])).expect("both"),
-            ("json".into(), true)
-        );
-        let err = parse_stats_args(&strs(&["--format", "yaml"])).unwrap_err();
+        let flags = |line| {
+            let o = parse_ok("stats", line);
+            (o.json, o.fleet)
+        };
+        assert_eq!(flags("t.jsonl"), (false, false));
+        assert_eq!(flags("t.jsonl --fleet"), (false, true));
+        assert_eq!(flags("t.jsonl --format json --fleet"), (true, true));
+        let err = parse_err("stats", "t.jsonl --format yaml");
         assert!(err.contains("table or json"), "got {err:?}");
-        let err = parse_stats_args(&strs(&["--shard"])).unwrap_err();
+        let err = parse_err("stats", "t.jsonl --shard");
         assert!(err.contains("unexpected argument"), "got {err:?}");
+    }
+
+    #[test]
+    fn worker_argv_inherits_every_forwarded_flag() {
+        let mut line = "d 7 --triage t.jsonl --procs 2".to_string();
+        for flag in FLAGS.iter().filter(|f| f.forward) {
+            let value = match flag.names[0] {
+                "--deadline-secs" => "7.5",
+                "--substrate" => "cosmwasm",
+                "--solver-cache" => "warm.cache",
+                other => panic!("give the forwarded flag {other} a sample value"),
+            };
+            line = format!("{line} {} {value}", flag.names[0]);
+        }
+        let sup = parse_ok("audit-dir", &line);
+        let argv = worker_args(&sup, &[0, 2]);
+        let w = parse(&argv[0], &argv[1..]).expect("worker parses");
+        // The fields a campaign is built from, all set away from defaults.
+        let campaign = |o: &Opts| {
+            let (dir, seed, secs) = (&o.paths, o.seed, o.deadline_secs);
+            format!(
+                "{dir:?} {seed} {secs:?} {:?} {:?}",
+                o.substrate, o.solver_cache
+            )
+        };
+        let expected = r#"["d"] 7 Some(7.5) Some(Cosmwasm) Some("warm.cache")"#;
+        assert_eq!(campaign(&sup), expected);
+        assert_eq!(campaign(&w), expected);
+        assert_eq!(w.indices, [0, 2]);
+    }
+
+    #[test]
+    fn usage_is_generated_from_the_table() {
+        let text = usage();
+        for shown in [
+            "audit-dir <dir> [seed]",
+            "[--journal|--resume FILE]",
+            "[--fleet]",
+        ] {
+            assert!(text.contains(shown), "{text}");
+        }
+        assert!(!text.contains("audit-worker") && !text.contains("--indices"));
     }
 
     #[test]

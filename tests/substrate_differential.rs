@@ -166,3 +166,27 @@ fn cli_sweep_is_identical_with_and_without_the_flag_and_under_procs() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn procs_workers_inherit_a_substrate_pin_that_changes_the_answer() {
+    // On a CosmWasm corpus, pinning eosio changes every verdict, so a worker
+    // that lost the flag at the process boundary would show in the triage.
+    let dir = scratch_dir("substrate-inherit");
+    let out = Command::new(env!("CARGO_BIN_EXE_wasai"))
+        .args(["gen", dir.to_str().expect("utf8 path"), "4", "2"])
+        .args(["--substrate", "cosmwasm"])
+        .output()
+        .expect("spawn wasai gen");
+    assert!(out.status.success(), "gen failed: {out:?}");
+
+    let auto = run_sweep(&dir, "auto", &[]);
+    let pinned = run_sweep(&dir, "pinned", &["--substrate", "eosio"]);
+    let procs = run_sweep(&dir, "procs", &["--substrate", "eosio", "--procs", "2"]);
+    assert_ne!(auto.1, pinned.1, "the pin must change the triage");
+    assert_eq!(
+        procs.1, pinned.1,
+        "--procs 2 workers must run under the supervisor's substrate pin"
+    );
+    assert_eq!(procs.0, pinned.0);
+    let _ = fs::remove_dir_all(&dir);
+}
