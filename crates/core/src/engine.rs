@@ -19,7 +19,7 @@ use wasai_chain::name::Name;
 use wasai_chain::{Chain, Receipt, Transaction};
 use wasai_obs as obs;
 use wasai_smt::{CachedQuery, PrefixSolver, QueryKey, SolveResult, SolverCache};
-use wasai_symex::{constraint_vars, flip_queries, seed_from_model, Replayer};
+use wasai_symex::{constraint_vars, flip_queries, seed_from_model, Replayer, MAX_FLIP_ATTEMPTS};
 
 use crate::clock::VirtualClock;
 use crate::config::FuzzConfig;
@@ -491,6 +491,19 @@ impl Engine {
         let Some(decl) = prepared.info.abi.action(action) else {
             return Vec::new();
         };
+        // Replay charges no virtual time, so a replay whose trace has no
+        // live flip target cannot change any output: skip it outright.
+        if !prepared.flip_sites().has_live_target(
+            &receipt.trace,
+            action_func,
+            &self.explored,
+            &self.attempted,
+        ) {
+            obs::inc(obs::Counter::ReplaysSkipped);
+            #[cfg(debug_assertions)]
+            self.check_skipped_replay(action_func, decl, params, &receipt.trace);
+            return Vec::new();
+        }
         // `params` is consumed into the binding pairs — no per-transaction
         // re-clone of the declaration or the values.
         let pairs: Vec<_> = decl.params.iter().copied().zip(params).collect();
@@ -538,7 +551,7 @@ impl Engine {
             // per target before writing it off — a permanently poisoned key
             // can otherwise stall a campaign two flips short of a gate.
             let tries = self.attempted.entry(key).or_insert(0);
-            if *tries >= 3 {
+            if *tries >= MAX_FLIP_ATTEMPTS {
                 continue;
             }
             *tries += 1;
@@ -661,5 +674,30 @@ impl Engine {
             }
         }
         new_seeds
+    }
+
+    /// Debug-build proof obligation of the replay skip: replay the skipped
+    /// trace anyway and assert that every flip target it yields is already
+    /// explored or exhausted, so the skipped replay could not have reached
+    /// the solver.
+    #[cfg(debug_assertions)]
+    fn check_skipped_replay(
+        &self,
+        action_func: u32,
+        decl: &ActionDecl,
+        params: Vec<ParamValue>,
+        trace: &[wasai_vm::TraceRecord],
+    ) {
+        let pairs: Vec<_> = decl.params.iter().copied().zip(params).collect();
+        let outcome =
+            Replayer::new(&self.prepared.info.original, action_func, 1, &pairs).run(trace);
+        for q in &flip_queries(&outcome, &self.explored).queries {
+            let key = q.target_key();
+            let tries = self.attempted.get(&key).copied().unwrap_or(0);
+            debug_assert!(
+                tries >= MAX_FLIP_ATTEMPTS,
+                "skipped a replay with live flip target {key:?} ({tries} attempts)"
+            );
+        }
     }
 }

@@ -2,12 +2,13 @@
 //! adversary-oracle agent contracts (Algorithm 1, line 2), plus the payload
 //! transaction templates of §3.5 and action-function location (§3.4.2).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use wasai_chain::abi::{Abi, ActionDecl, ParamValue};
 use wasai_chain::asset::Asset;
 use wasai_chain::name::Name;
 use wasai_chain::{Action, Chain, NativeKind, Transaction};
+use wasai_symex::FlipSites;
 use wasai_vm::{CompiledModule, TraceKind, TraceRecord};
 use wasai_wasm::instr::Instr;
 use wasai_wasm::Module;
@@ -85,6 +86,9 @@ pub struct PreparedTarget {
     pub compiled: Arc<CompiledModule>,
     /// Branch sites of the *original* module (trace sites refer to it).
     pub branch_sites: BranchSites,
+    /// Flip-target sites of the original module, tabled on first use
+    /// (see [`PreparedTarget::flip_sites`]).
+    flip_sites: OnceLock<FlipSites>,
     /// The post-`setup_chain` chain state, captured once. Campaigns fork it
     /// copy-on-write instead of replaying deployment from genesis per seed.
     /// `None` when the fast path is disabled (`WASAI_VM_FAST=0`) or the
@@ -164,12 +168,21 @@ impl PreparedTarget {
             info: target,
             compiled,
             branch_sites,
+            flip_sites: OnceLock::new(),
             snapshot: None,
         };
         if !reference && wasai_vm::fast_path_enabled() {
             prepared.snapshot = Some(prepared.setup_chain_genesis()?);
         }
         Ok(Arc::new(prepared))
+    }
+
+    /// The flip-target site table of the original module: the engine's
+    /// pre-check for replays that cannot reach the solver. Built on first
+    /// use, so targets that never replay (CosmWasm) never pay for it.
+    pub fn flip_sites(&self) -> &FlipSites {
+        self.flip_sites
+            .get_or_init(|| FlipSites::new(&self.info.original))
     }
 
     /// A chain ready for fuzzing: a copy-on-write fork of the post-setup

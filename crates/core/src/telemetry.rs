@@ -149,7 +149,9 @@ pub enum TelemetryEvent {
         /// Virtual microseconds at emission.
         vtime: u64,
     },
-    /// One trace was replayed symbolically.
+    /// One trace was replayed symbolically. Emitted for performed replays
+    /// only: a replay the engine skips because its trace holds no live flip
+    /// target emits nothing.
     Replayed {
         /// Trace records processed.
         records: usize,

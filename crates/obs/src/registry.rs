@@ -101,6 +101,9 @@ metric_enum! {
         BranchSites,
         /// `wasai_replays_total`
         Replays,
+        /// `wasai_replays_skipped_total` — replays skipped because the
+        /// trace had no live flip target.
+        ReplaysSkipped,
         /// `wasai_flips_total`
         Flips,
         /// `wasai_smt_queries_total{outcome="sat"}`
@@ -158,6 +161,7 @@ impl Counter {
             Counter::CoverageBranches => "wasai_coverage_branches_total",
             Counter::BranchSites => "wasai_branch_sites_total",
             Counter::Replays => "wasai_replays_total",
+            Counter::ReplaysSkipped => "wasai_replays_skipped_total",
             Counter::Flips => "wasai_flips_total",
             Counter::SmtSat | Counter::SmtUnsat | Counter::SmtUnknown => "wasai_smt_queries_total",
             Counter::SmtPropagations => "wasai_smt_propagations_total",
@@ -220,6 +224,9 @@ impl Counter {
                  (coverage denominator)."
             }
             Counter::Replays => "Symbolic trace replays performed.",
+            Counter::ReplaysSkipped => {
+                "Symbolic trace replays skipped because no flip target in the trace was live."
+            }
             Counter::Flips => "Constraints flipped into adaptive seeds.",
             Counter::SmtSat | Counter::SmtUnsat | Counter::SmtUnknown => {
                 "SMT flip queries answered, by verdict."

@@ -11,12 +11,43 @@
 //! the shared prefix a single time and answer every flip from it
 //! (`wasai_smt::PrefixSolver`), instead of re-encoding a cloned constraint
 //! vector per query.
+//!
+//! [`FlipSites`] answers the question before any of that work: from the
+//! concrete trace alone, could the replay yield a query still worth
+//! solving?
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use wasai_smt::TermId;
+use wasai_vm::{TraceKind, TraceRecord};
+use wasai_wasm::instr::Instr;
+use wasai_wasm::Module;
 
-use crate::replay::{CondKind, ReplayOutcome};
+use crate::replay::{assert_imports, CondKind, ReplayOutcome, Replayer};
+
+/// A flip target's coverage key: `(func, pc, direction)`.
+pub type FlipKey = (u32, u32, u64);
+
+/// Solver attempts a flip target gets before the engine writes it off. A
+/// solved model does not guarantee the chased seed reaches the flipped
+/// branch, so a target is retried a few times, but not forever.
+pub const MAX_FLIP_ATTEMPTS: u32 = 3;
+
+/// The coverage key of flipping the conditional at `site` toward
+/// `target_taken`.
+///
+/// Branches use directions 0/1 (the `taken` flag recorded in traces).
+/// Asserts use 2/3 — their own key space — so an assert flip at a site
+/// never aliases a branch flip at the same `(func, pc)`: `explored` only
+/// ever holds branch keys, and an aliased key would silently suppress
+/// whichever query came second.
+pub fn flip_key(site: (u32, u32), kind: CondKind, target_taken: bool) -> FlipKey {
+    let dir = match kind {
+        CondKind::Branch => target_taken as u64,
+        CondKind::Assert => 2 + target_taken as u64,
+    };
+    (site.0, site.1, dir)
+}
 
 /// One ready-to-solve flip query: the first `prefix_len` constraints of the
 /// owning [`FlipSet`]'s chain, conjoined with `flipped`.
@@ -36,19 +67,9 @@ pub struct FlipQuery {
 }
 
 impl FlipQuery {
-    /// The coverage key `(func, pc, direction)` this query targets.
-    ///
-    /// Branches use directions 0/1 (the `taken` flag recorded in traces).
-    /// Asserts use 2/3 — their own key space — so an assert flip at a site
-    /// never aliases a branch flip at the same `(func, pc)`: `explored`
-    /// only ever holds branch keys, and an aliased key would silently
-    /// suppress whichever query came second.
-    pub fn target_key(&self) -> (u32, u32, u64) {
-        let dir = match self.kind {
-            CondKind::Branch => self.target_taken as u64,
-            CondKind::Assert => 2 + self.target_taken as u64,
-        };
-        (self.site.0, self.site.1, dir)
+    /// The coverage key this query targets (see [`flip_key`]).
+    pub fn target_key(&self) -> FlipKey {
+        flip_key(self.site, self.kind, self.target_taken)
     }
 
     /// Materialize the full constraint list against the owning set's
@@ -83,8 +104,8 @@ impl FlipSet {
 /// (branch directions some earlier seed has covered) and deduplicating
 /// repeated targets within the run — asserts included: a guard re-checked
 /// on every loop iteration yields one query, not one per iteration.
-pub fn flip_queries(outcome: &ReplayOutcome, explored: &HashSet<(u32, u32, u64)>) -> FlipSet {
-    let mut seen_this_run: HashSet<(u32, u32, u64)> = HashSet::new();
+pub fn flip_queries(outcome: &ReplayOutcome, explored: &HashSet<FlipKey>) -> FlipSet {
+    let mut seen_this_run: HashSet<FlipKey> = HashSet::new();
     let mut queries = Vec::new();
     for cond in &outcome.conditionals {
         let q = FlipQuery {
@@ -104,6 +125,134 @@ pub fn flip_queries(outcome: &ReplayOutcome, explored: &HashSet<(u32, u32, u64)>
     FlipSet {
         prefix: outcome.path.clone(),
         queries,
+    }
+}
+
+/// What an instruction can contribute to a flip target during replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SiteRole {
+    /// Nothing the pre-check needs.
+    Other,
+    /// `br_if` / `if`: a branch conditional state once its condition is a
+    /// term.
+    Cond,
+    /// A call to an `eosio_assert` import: an assert conditional state when
+    /// it fails.
+    AssertCall,
+    /// A memory store: the replayer tracks the stored bytes, so later loads
+    /// of them yield terms.
+    Store,
+}
+
+/// The instructions of one module at which a replay can open a flip
+/// target, tabled once per module so the engine can tell from the
+/// *concrete* trace — without replaying it — whether the replay could
+/// reach the solver at all ([`FlipSites::has_live_target`]).
+#[derive(Debug, Clone, Default)]
+pub struct FlipSites {
+    first_local: u32,
+    /// One role per instruction of each local function, indexed by pc.
+    roles: Vec<Box<[SiteRole]>>,
+}
+
+impl FlipSites {
+    /// Table every local function of `module` (the *original* module, whose
+    /// numbering trace sites use).
+    pub fn new(module: &Module) -> Self {
+        let asserts = assert_imports(module);
+        let roles = module
+            .funcs
+            .iter()
+            .map(|f| {
+                f.body
+                    .iter()
+                    .map(|instr| match instr {
+                        Instr::BrIf(_) | Instr::If(_) => SiteRole::Cond,
+                        Instr::Call(callee) if asserts.contains(callee) => SiteRole::AssertCall,
+                        other if other.memory_access().is_some_and(|a| a.is_store) => {
+                            SiteRole::Store
+                        }
+                        _ => SiteRole::Other,
+                    })
+                    .collect()
+            })
+            .collect();
+        FlipSites {
+            first_local: module.num_imported_funcs(),
+            roles,
+        }
+    }
+
+    fn role(&self, func: u32, pc: u32) -> SiteRole {
+        func.checked_sub(self.first_local)
+            .and_then(|i| self.roles.get(i as usize))
+            .and_then(|body| body.get(pc as usize))
+            .copied()
+            .unwrap_or(SiteRole::Other)
+    }
+
+    /// Whether replaying `trace` with inputs at `action_func` could yield a
+    /// flip query that is still live: its target not in `explored` and
+    /// tried fewer than [`MAX_FLIP_ATTEMPTS`] times per `attempted`.
+    ///
+    /// `false` is a guarantee: every query [`flip_queries`] would build
+    /// from the replay targets an explored or exhausted key. The check
+    /// over-approximates what the replayer can turn into a conditional
+    /// state:
+    ///
+    /// - No term exists before the action function first begins (its
+    ///   inputs are installed there) or a memory store first runs (stored
+    ///   bytes are tracked, so later loads of them are terms). Sites before
+    ///   the earlier of the two are ignored; every site after it is assumed
+    ///   symbolic.
+    /// - A `br_if` / `if` site targets its untaken direction.
+    /// - A failing `eosio_assert` call — operand 0 of the `CallPre` record
+    ///   that follows the site is 0, or no `CallPre` follows — targets its
+    ///   assert key.
+    /// - `br_table` and `select` only extend the path constraint.
+    pub fn has_live_target(
+        &self,
+        trace: &[TraceRecord],
+        action_func: u32,
+        explored: &HashSet<FlipKey>,
+        attempted: &HashMap<FlipKey, u32>,
+    ) -> bool {
+        let live = |key: FlipKey| {
+            !explored.contains(&key) && attempted.get(&key).is_none_or(|&n| n < MAX_FLIP_ATTEMPTS)
+        };
+        let mut terms = false;
+        for (i, rec) in trace.iter().enumerate() {
+            let (func, pc) = match rec.kind {
+                TraceKind::FuncBegin { func } => {
+                    terms |= func == action_func;
+                    continue;
+                }
+                TraceKind::Site { func, pc } => (func, pc),
+                _ => continue,
+            };
+            match self.role(func, pc) {
+                SiteRole::Store => terms = true,
+                SiteRole::Cond if terms => {
+                    let taken = Replayer::op_u64(&rec.operands, 0) != 0;
+                    if live(flip_key((func, pc), CondKind::Branch, !taken)) {
+                        return true;
+                    }
+                }
+                SiteRole::AssertCall if terms => {
+                    let passed = match trace.get(i + 1) {
+                        Some(next) if matches!(next.kind, TraceKind::CallPre { .. }) => {
+                            Replayer::op_u64(&next.operands, 0) != 0
+                        }
+                        _ => false,
+                    };
+                    if !passed && live(flip_key((func, pc), CondKind::Assert, true)) {
+                        return true;
+                    }
+                }
+                _ => {}
+            }
+        }
+        false
     }
 }
 

@@ -21,7 +21,7 @@ pub mod memory;
 pub mod replay;
 pub mod seedgen;
 
-pub use flip::{flip_queries, FlipQuery, FlipSet};
+pub use flip::{flip_key, flip_queries, FlipKey, FlipQuery, FlipSet, FlipSites, MAX_FLIP_ATTEMPTS};
 pub use inputs::{InputSpec, ParamBinding, ParamSpec};
 pub use memory::SymMemory;
 pub use replay::{CondKind, ConditionalState, ReplayOutcome, Replayer};

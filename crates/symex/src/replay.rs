@@ -135,6 +135,19 @@ pub struct Replayer<'m> {
     deadline: Deadline,
 }
 
+/// The function indices of `module`'s `eosio_assert` imports: the callees
+/// whose failing calls are conditional states (§3.1).
+pub(crate) fn assert_imports(module: &Module) -> HashSet<u32> {
+    (0..module.num_imported_funcs())
+        .filter(|&i| {
+            module
+                .imported_func(i)
+                .map(|imp| imp.name == "eosio_assert")
+                .unwrap_or(false)
+        })
+        .collect()
+}
+
 fn width_of(t: ValType) -> u32 {
     t.bit_width()
 }
@@ -150,17 +163,9 @@ impl<'m> Replayer<'m> {
     ) -> Self {
         let mut pool = TermPool::new();
         let spec = InputSpec::build(&mut pool, action_func, local_base, params);
-        let assert_funcs = (0..module.num_imported_funcs())
-            .filter(|&i| {
-                module
-                    .imported_func(i)
-                    .map(|imp| imp.name == "eosio_assert")
-                    .unwrap_or(false)
-            })
-            .collect();
         Replayer {
             module,
-            assert_funcs,
+            assert_funcs: assert_imports(module),
             pool,
             mem: SymMemory::new(),
             spec,
@@ -301,7 +306,8 @@ impl<'m> Replayer<'m> {
         })
     }
 
-    fn op_u64(operands: &[TraceVal], i: usize) -> u64 {
+    /// Operand `i`'s bits, 0 when absent.
+    pub(crate) fn op_u64(operands: &[TraceVal], i: usize) -> u64 {
         operands.get(i).map(|v| v.bits()).unwrap_or(0)
     }
 

@@ -1,12 +1,15 @@
 //! End-to-end Symback tests: instrument → execute → replay → flip → solve →
 //! adaptive seed. These close the concolic feedback loop of Algorithm 1.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use wasai_chain::abi::{ParamType, ParamValue};
 use wasai_chain::asset::Asset;
 use wasai_smt::{check, Budget, SolveResult};
-use wasai_symex::{constraint_vars, flip_queries, seed_from_model, CondKind, Replayer};
+use wasai_symex::{
+    constraint_vars, flip_key, flip_queries, seed_from_model, CondKind, FlipKey, FlipSites,
+    Replayer, MAX_FLIP_ATTEMPTS,
+};
 use wasai_vm::{
     CompiledModule, Fuel, Host, HostFnId, Instance, LinearMemory, TraceRecord, TraceSink, Trap,
     Value,
@@ -169,9 +172,9 @@ fn branch_coverage_accumulates_distinct_directions() {
     assert!(outcome.func_chain.len() >= 3);
 }
 
-#[test]
-fn failing_assert_yields_satisfiable_flip() {
-    // action(self, x): eosio_assert(x == 42, "…") — run with x = 7.
+/// `action(self, x): eosio_assert(x == 42, "…")`, called by `apply` with
+/// `x` = `arg`.
+fn assert_contract(arg: i64) -> (wasai_wasm::Module, u32) {
     let mut b = ModuleBuilder::with_memory(1);
     let assert_fn = b.import_func("env", "eosio_assert", &[I32, I32], &[]);
     let action = b.func(
@@ -193,13 +196,19 @@ fn failing_assert_yields_satisfiable_flip() {
         &[],
         vec![
             Instr::LocalGet(0),
-            Instr::I64Const(7),
+            Instr::I64Const(arg),
             Instr::Call(action),
             Instr::End,
         ],
     );
     b.export_func("apply", apply);
     let module = b.build();
+    (module, action)
+}
+
+#[test]
+fn failing_assert_yields_satisfiable_flip() {
+    let (module, action) = assert_contract(7);
 
     let trace = trace_of(&module, "apply", &apply_args());
     let params = vec![(ParamType::U64, ParamValue::U64(7))];
@@ -442,4 +451,151 @@ fn loops_replay_without_desync() {
     let vars = constraint_vars(&outcome.pool, &c0);
     let seed = seed_from_model(&outcome.spec, &outcome.pool, m, &vars);
     assert_eq!(seed, vec![ParamValue::U64(0)]);
+}
+
+/// Run the replay-skip pre-check on `trace` and hold it to its contract:
+/// when it reports no live target, every query the replay yields must be
+/// explored or exhausted. Returns the pre-check's answer.
+fn live_target(
+    module: &wasai_wasm::Module,
+    action: u32,
+    params: &[(ParamType, ParamValue)],
+    trace: &[TraceRecord],
+    explored: &HashSet<FlipKey>,
+    attempted: &HashMap<FlipKey, u32>,
+) -> bool {
+    let live = FlipSites::new(module).has_live_target(trace, action, explored, attempted);
+    if !live {
+        let outcome = Replayer::new(module, action, 1, params).run(trace);
+        for q in flip_queries(&outcome, explored).queries {
+            let tries = attempted.get(&q.target_key()).copied().unwrap_or(0);
+            assert!(
+                tries >= MAX_FLIP_ATTEMPTS,
+                "pre-check missed live target {:?}",
+                q.target_key()
+            );
+        }
+    }
+    live
+}
+
+#[test]
+fn skip_check_tracks_explored_and_exhausted_branch_targets() {
+    let (module, action) = branchy_contract();
+    let trace = trace_of(&module, "apply", &apply_args());
+    let params = vec![(ParamType::U64, ParamValue::U64(7))];
+    let live = |explored: &HashSet<FlipKey>, attempted: &HashMap<FlipKey, u32>| {
+        live_target(&module, action, &params, &trace, explored, attempted)
+    };
+    // The `if` at pc 3 ran untaken, so its target is direction 1.
+    let key = (action, 3, 1);
+    assert!(live(&HashSet::new(), &HashMap::new()));
+    assert!(!live(&HashSet::from([key]), &HashMap::new()));
+    assert!(live(
+        &HashSet::new(),
+        &HashMap::from([(key, MAX_FLIP_ATTEMPTS - 1)])
+    ));
+    assert!(!live(
+        &HashSet::new(),
+        &HashMap::from([(key, MAX_FLIP_ATTEMPTS)])
+    ));
+}
+
+#[test]
+fn skip_check_ignores_branches_before_the_action_function() {
+    // apply branches on its concrete receiver before dispatching: no term
+    // exists yet, so the replay cannot flip that branch.
+    let (mut module, action) = branchy_contract();
+    let apply_idx = module.exported_func("apply").unwrap();
+    let apply = module.local_func_mut(apply_idx).unwrap();
+    let guard = [
+        Instr::LocalGet(0),
+        Instr::I32WrapI64,
+        Instr::If(BlockType::Empty),
+        Instr::Nop,
+        Instr::End,
+    ];
+    apply.body.splice(0..0, guard);
+    let trace = trace_of(&module, "apply", &apply_args());
+    let params = vec![(ParamType::U64, ParamValue::U64(7))];
+    let explored: HashSet<FlipKey> = [(action, 3, 1)].into_iter().collect();
+    assert!(!live_target(
+        &module,
+        action,
+        &params,
+        &trace,
+        &explored,
+        &HashMap::new()
+    ));
+}
+
+#[test]
+fn skip_check_counts_failing_asserts_only() {
+    let (module, action) = assert_contract(7);
+    let params = vec![(ParamType::U64, ParamValue::U64(7))];
+    let failing = trace_of(&module, "apply", &apply_args());
+    let live = |attempted: &HashMap<FlipKey, u32>| {
+        live_target(
+            &module,
+            action,
+            &params,
+            &failing,
+            &HashSet::new(),
+            attempted,
+        )
+    };
+    assert!(live(&HashMap::new()));
+    let key = flip_key((action, 4), CondKind::Assert, true);
+    assert!(!live(&HashMap::from([(key, MAX_FLIP_ATTEMPTS)])));
+
+    let (module, action) = assert_contract(42);
+    let params = vec![(ParamType::U64, ParamValue::U64(42))];
+    let passing = trace_of(&module, "apply", &apply_args());
+    let (explored, attempted) = (HashSet::new(), HashMap::new());
+    assert!(!live_target(
+        &module, action, &params, &passing, &explored, &attempted
+    ));
+}
+
+#[test]
+fn skip_check_counts_terms_loaded_from_memory_before_the_action() {
+    // apply stores a word, loads it back and branches on it before
+    // dispatching. The replay tracks stored bytes, so the load is a term
+    // and the branch a flip target even though no input exists yet.
+    let (mut module, action) = branchy_contract();
+    let apply_idx = module.exported_func("apply").unwrap();
+    let apply = module.local_func_mut(apply_idx).unwrap();
+    let prologue = [
+        Instr::I32Const(64),
+        Instr::I32Const(5),
+        Instr::I32Store(MemArg::default()),
+        Instr::I32Const(64),
+        Instr::I32Load(MemArg::default()),
+        Instr::If(BlockType::Empty),
+        Instr::Nop,
+        Instr::End,
+    ];
+    apply.body.splice(0..0, prologue);
+    let trace = trace_of(&module, "apply", &apply_args());
+    let params = vec![(ParamType::U64, ParamValue::U64(7))];
+    let explored: HashSet<FlipKey> = [(action, 3, 1)].into_iter().collect();
+    let outcome = Replayer::new(&module, action, 1, &params).run(&trace);
+    let targets: Vec<_> = flip_queries(&outcome, &explored)
+        .queries
+        .iter()
+        .map(|q| q.target_key())
+        .collect();
+    assert_eq!(
+        targets,
+        vec![(apply_idx, 5, 0)],
+        "the replay flips apply's branch"
+    );
+    assert!(live_target(
+        &module,
+        action,
+        &params,
+        &trace,
+        &explored,
+        &HashMap::new()
+    ));
 }

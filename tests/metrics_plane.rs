@@ -60,6 +60,7 @@ const DETERMINISTIC_SERIES: &[&str] = &[
     "wasai_branch_sites_total",
     "wasai_flips_total",
     "wasai_replays_total",
+    "wasai_replays_skipped_total",
 ];
 
 /// Run an `audit-dir` sweep over `dir`, returning (dump path, stdout).
