@@ -4,8 +4,8 @@
 //! memory content … in each memory access, it needs to search all items in
 //! its memory model to merge the overlapped contents". This list-of-writes
 //! model is O(writes) per load; WASAI's concrete-address byte map
-//! (`wasai_symex::SymMemory`) is O(log n). The `memory_model` Criterion
-//! bench quantifies the gap the paper claims.
+//! (`wasai_symex::SymMemory`) is O(log n). The `memory_model` binary in
+//! `wasai-bench` quantifies the gap the paper claims.
 
 use wasai_smt::{TermId, TermPool};
 

@@ -86,10 +86,11 @@ pub enum AccountKind {
 pub struct ChainConfig {
     /// Fuel budget per transaction (instructions).
     pub fuel_per_tx: u64,
-    /// Benchmark-only: emulate the pre-fast-path per-transaction costs —
+    /// Reference-arm only: emulate the pre-fast-path per-transaction costs —
     /// physically deep rollback snapshots and per-action import resolution
     /// instead of COW clones and the cached table. Observationally
-    /// identical, only slower; `bench_vm` uses it as the baseline arm.
+    /// identical, only slower; `tests/vm_fastpath.rs` uses it as the
+    /// reference arm.
     pub legacy_exec_costs: bool,
 }
 
@@ -209,7 +210,7 @@ impl Chain {
     /// the fork starts byte-identical to `self` (minus per-transaction
     /// observation buffers, which only live inside `push_transaction`) and
     /// the two chains can never observe each other's subsequent writes.
-    /// This is what turns one post-`setup_chain` snapshot into thousands of
+    /// This is what turns one post-setup snapshot into thousands of
     /// per-seed chains without replaying deployment from genesis.
     pub fn fork(&self) -> Chain {
         Chain {

@@ -89,10 +89,9 @@ pub struct PreparedTarget {
     /// Flip-target sites of the original module, tabled on first use
     /// (see [`PreparedTarget::flip_sites`]).
     flip_sites: OnceLock<FlipSites>,
-    /// The post-`setup_chain` chain state, captured once. Campaigns fork it
+    /// The post-setup chain state, captured once. Campaigns fork it
     /// copy-on-write instead of replaying deployment from genesis per seed.
-    /// `None` when the fast path is disabled (`WASAI_VM_FAST=0`) or the
-    /// target was prepared for the reference interpreter.
+    /// `None` when the target was prepared for the reference interpreter.
     snapshot: Option<Chain>,
 }
 
@@ -104,59 +103,27 @@ impl PreparedTarget {
     ///
     /// Fails when the module cannot be instrumented or compiled.
     pub fn prepare(target: TargetInfo) -> Result<Arc<Self>, wasai_chain::ChainError> {
-        Self::prepare_inner(target, true, false)
-    }
-
-    /// [`PreparedTarget::prepare`] without instrumentation: the *original*
-    /// module is compiled and snapshotted. Concrete replay — confirming a
-    /// verdict by re-running a seed, or measuring raw execution throughput —
-    /// consumes receipts, not traces, and the trace hooks that
-    /// instrumentation threads through every instruction dominate its cost.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the module cannot be compiled.
-    pub fn prepare_concrete(target: TargetInfo) -> Result<Arc<Self>, wasai_chain::ChainError> {
-        Self::prepare_inner(target, false, false)
-    }
-
-    /// [`PreparedTarget::prepare_concrete`] pinned to the reference
-    /// interpreter and genesis setup — the baseline arm for uninstrumented
-    /// replay comparisons.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the module cannot be compiled.
-    pub fn prepare_concrete_reference(
-        target: TargetInfo,
-    ) -> Result<Arc<Self>, wasai_chain::ChainError> {
-        Self::prepare_inner(target, false, true)
+        Self::prepare_inner(target, false)
     }
 
     /// [`PreparedTarget::prepare`] pinned to the reference interpreter and
-    /// genesis chain setup, regardless of `WASAI_VM_FAST`. The differential
-    /// suite and the throughput benchmark's baseline arm use this to compare
-    /// the fast path against the unaccelerated execution stack.
+    /// genesis chain setup. The differential suites use this to compare the
+    /// fast path against the unaccelerated execution stack.
     ///
     /// # Errors
     ///
     /// Fails when the module cannot be instrumented or compiled.
     pub fn prepare_reference(target: TargetInfo) -> Result<Arc<Self>, wasai_chain::ChainError> {
-        Self::prepare_inner(target, true, true)
+        Self::prepare_inner(target, true)
     }
 
     fn prepare_inner(
         target: TargetInfo,
-        instrument: bool,
         reference: bool,
     ) -> Result<Arc<Self>, wasai_chain::ChainError> {
-        let module = if instrument {
-            wasai_wasm::instrument::instrument(&target.original)
-                .map_err(|e| wasai_chain::ChainError::BadContract(e.to_string()))?
-                .module
-        } else {
-            target.original.clone()
-        };
+        let module = wasai_wasm::instrument::instrument(&target.original)
+            .map_err(|e| wasai_chain::ChainError::BadContract(e.to_string()))?
+            .module;
         let compiled = if reference {
             CompiledModule::compile_reference(module)
         } else {
@@ -171,7 +138,7 @@ impl PreparedTarget {
             flip_sites: OnceLock::new(),
             snapshot: None,
         };
-        if !reference && wasai_vm::fast_path_enabled() {
+        if !reference {
             prepared.snapshot = Some(prepared.setup_chain_genesis()?);
         }
         Ok(Arc::new(prepared))
@@ -221,32 +188,13 @@ impl PreparedTarget {
     }
 }
 
-/// Initialize the local blockchain: deploy the (instrumented) target, the
-/// token contracts and the adversary agents, and fund everyone.
-///
-/// # Errors
-///
-/// Propagates deployment errors (e.g. an instrumented module that fails to
-/// compile).
-pub fn setup_chain(
-    target: &TargetInfo,
-    instrument: bool,
-) -> Result<Chain, wasai_chain::ChainError> {
-    if instrument {
-        let prepared = PreparedTarget::prepare(target.clone())?;
-        return setup_chain_prepared(&prepared);
-    }
-    let compiled = CompiledModule::compile(target.original.clone())
-        .map_err(|e| wasai_chain::ChainError::BadContract(e.to_string()))?;
-    setup_chain_compiled(compiled, target.abi.clone())
-}
-
-/// [`setup_chain`] against a [`PreparedTarget`]: forks the cached post-setup
-/// snapshot (or re-runs genesis setup when no snapshot was captured) instead
-/// of re-instrumenting, recompiling and redeploying per campaign. Every
-/// campaign entry point — the WASAI engine, the baselines, the benches —
-/// obtains its chain through this single helper, so the snapshot path is
-/// adopted (and can be disabled via `WASAI_VM_FAST=0`) uniformly.
+/// Initialize the local blockchain for a [`PreparedTarget`]: the
+/// instrumented target, the token contracts and the adversary agents,
+/// everyone funded. Forks the cached post-setup snapshot (or re-runs genesis
+/// setup when no snapshot was captured) instead of re-instrumenting,
+/// recompiling and redeploying per campaign. Every campaign entry point —
+/// the WASAI engine, the baselines, the benches — obtains its chain through
+/// this single helper, so the snapshot path is adopted uniformly.
 ///
 /// # Errors
 ///

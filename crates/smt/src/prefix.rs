@@ -18,8 +18,9 @@
 //! campaign reports stay byte-identical whether it is on or off. What is
 //! saved is real work: the prefix's unit propagations and Tseitin gate
 //! construction happen once; [`PrefixSolver::performed_propagations`]
-//! counts only the propagations actually executed, which the solver
-//! microbench compares against the from-scratch total.
+//! counts only the propagations actually executed, which
+//! `tests::fork_path_saves_propagations` compares against the from-scratch
+//! total.
 //!
 //! The fork path is the only query mode. Any mode that changes
 //! [`SolveStats`] — assumption-based solving on a persistent instance,
@@ -314,24 +315,28 @@ mod tests {
 
     #[test]
     fn fork_path_saves_propagations() {
-        let mut pool = TermPool::new();
-        let (path, flips) = flip_family(&mut pool, 16, 7);
-        let mut scratch_props = 0u64;
-        for (i, &flip) in flips.iter().enumerate() {
-            let mut q: Vec<TermId> = path[..i].to_vec();
-            q.push(flip);
-            let (_, stats) = check(&pool, &q, Budget::default());
-            scratch_props += stats.propagations;
-        }
-        let mut session = PrefixSolver::new(&pool);
-        for (i, &flip) in flips.iter().enumerate() {
-            session.solve(&path[..i], flip, Budget::default());
+        // Eight replay-shaped families of sixteen queries each: the shared
+        // prefix must at least halve the from-scratch propagation work.
+        let mut scratch = 0u64;
+        let mut reused = 0u64;
+        for salt in 0..8 {
+            let mut pool = TermPool::new();
+            let (path, flips) = flip_family(&mut pool, 16, salt);
+            for (i, &flip) in flips.iter().enumerate() {
+                let mut q: Vec<TermId> = path[..i].to_vec();
+                q.push(flip);
+                let (_, stats) = check(&pool, &q, Budget::default());
+                scratch += stats.propagations;
+            }
+            let mut session = PrefixSolver::new(&pool);
+            for (i, &flip) in flips.iter().enumerate() {
+                session.solve(&path[..i], flip, Budget::default());
+            }
+            reused += session.performed_propagations();
         }
         assert!(
-            session.performed_propagations() < scratch_props,
-            "shared prefix must do less propagation work: {} vs {}",
-            session.performed_propagations(),
-            scratch_props
+            reused * 2 <= scratch,
+            "shared prefix must at least halve propagation work: {reused} vs {scratch}"
         );
     }
 

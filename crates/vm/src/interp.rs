@@ -48,33 +48,34 @@ pub(crate) struct CtrlTarget {
 }
 
 /// A module plus the metadata the interpreter needs (control-flow targets),
-/// and — when the fast path is enabled — the compiled execution tapes.
+/// and — unless compiled for the reference interpreter — the execution tapes.
 #[derive(Debug)]
 pub struct CompiledModule {
     module: Arc<Module>,
     /// `targets[local_func][pc]` is meaningful for Block/Loop/If pcs.
     targets: Vec<Vec<CtrlTarget>>,
-    /// Flattened threaded-code tapes, one per local function; `None` when the
-    /// fast path is disabled or lowering bailed (all-or-nothing per module).
+    /// Flattened threaded-code tapes, one per local function; `None` when
+    /// compiled for the reference interpreter or lowering bailed
+    /// (all-or-nothing per module).
     tapes: Option<Vec<Tape>>,
 }
 
 impl CompiledModule {
-    /// Compile a module (which should already validate). Builds the
-    /// threaded-code tapes unless `WASAI_VM_FAST=0` disables the fast path.
+    /// Compile a module (which should already validate) and build its
+    /// threaded-code tapes.
     ///
     /// # Errors
     ///
     /// Returns [`InstanceError::MalformedControlFlow`] on unmatched
     /// block/if/end nesting.
     pub fn compile(module: Module) -> Result<Arc<Self>, InstanceError> {
-        Self::compile_inner(module, tape::fast_path_enabled())
+        Self::compile_inner(module, true)
     }
 
     /// Compile without building tapes: the reference interpreter path.
     ///
     /// Differential tests use this to pin the fast path against the
-    /// reference without racing on process-wide environment state.
+    /// reference.
     ///
     /// # Errors
     ///

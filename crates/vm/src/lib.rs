@@ -53,7 +53,6 @@ pub use host::{Host, HostFnId, NullHost};
 pub use interp::{resolve_imports, CompiledModule, Fuel, Instance};
 pub use memory::LinearMemory;
 pub use pool::InstancePool;
-pub use tape::fast_path_enabled;
 pub use trace::{TraceKind, TraceRecord, TraceSink, TraceVal};
 pub use value::Value;
 

@@ -31,8 +31,6 @@
 //! (`tests/vm_fastpath.rs` and the property tests below) pins tape and
 //! reference to byte-identical results, traps, traces and fuel.
 
-use std::sync::OnceLock;
-
 use wasai_wasm::instr::{Instr, InstrClass};
 use wasai_wasm::module::Module;
 use wasai_wasm::types::ValType;
@@ -42,22 +40,6 @@ use crate::host::Host;
 use crate::interp::{CtrlTarget, Fuel, Instance, MAX_CALL_DEPTH};
 use crate::numeric;
 use crate::value::Value;
-
-/// Is the tape + snapshot fast path enabled for this process?
-///
-/// Read once from `WASAI_VM_FAST` (default on; `0`/`false`/`off` disable).
-/// The escape hatch forces every consumer back onto the reference
-/// interpreter and genesis chain setup, which the fast path must be
-/// byte-identical to.
-pub fn fast_path_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("WASAI_VM_FAST").ok().as_deref(),
-            Some("0" | "false" | "off")
-        )
-    })
-}
 
 /// A branch destination with its pre-resolved stack adjustment.
 #[derive(Debug, Clone, Copy)]

@@ -2,9 +2,8 @@
 //! snapshots): the accelerated stack must be observationally pure. Reports,
 //! telemetry traces and transaction receipts must be byte-identical to the
 //! reference interpreter running against genesis-initialized chains, at any
-//! worker count. `WASAI_VM_FAST=0` forces the reference stack at runtime;
-//! these tests pin both arms explicitly (`PreparedTarget::prepare` vs
-//! `PreparedTarget::prepare_reference`) so they are env-independent.
+//! worker count. These tests pin both arms explicitly
+//! (`PreparedTarget::prepare` vs `PreparedTarget::prepare_reference`).
 
 use std::sync::Arc;
 
@@ -110,13 +109,12 @@ fn fast_fleet_matches_reference_at_any_worker_count() {
 }
 
 #[test]
-fn loop_heavy_concrete_replay_matches_reference() {
-    // The bench_vm workload shape in miniature: wild contracts whose
-    // eosponser carries an sdk_work byte-mix loop — the exact code the tape
-    // compiler collapses into fused backedge/indexed-load/sink ops with
-    // batched fuel. Receipts (results, executed actions, api events, fuel)
-    // must be bit-identical between a fast COW fork and a legacy-cost
-    // genesis chain running the reference interpreter.
+fn loop_heavy_replay_matches_reference() {
+    // Wild contracts whose eosponser carries an sdk_work byte-mix loop,
+    // instrumented as every campaign runs them. Receipts (results, executed
+    // actions, api events, traces, fuel) must be bit-identical between a
+    // fast COW fork and a legacy-cost genesis chain running the reference
+    // interpreter.
     use wasai::wasai_chain::ChainConfig;
     let targets: Vec<TargetInfo> = wild_corpus(
         0xbeef,
@@ -130,9 +128,8 @@ fn loop_heavy_concrete_replay_matches_reference() {
     .map(|w| TargetInfo::new(w.deployed.module, w.deployed.abi))
     .collect();
     for (i, info) in targets.iter().enumerate() {
-        let fast = PreparedTarget::prepare_concrete(info.clone()).expect("prepare fast");
-        let reference =
-            PreparedTarget::prepare_concrete_reference(info.clone()).expect("prepare reference");
+        let fast = PreparedTarget::prepare(info.clone()).expect("prepare fast");
+        let reference = PreparedTarget::prepare_reference(info.clone()).expect("prepare reference");
         let mut forked = fast.fork_chain().expect("fork");
         let mut genesis = reference.setup_chain_genesis().expect("genesis");
         genesis.set_config(ChainConfig {
