@@ -29,11 +29,12 @@ pub struct FuzzConfig {
     /// [`wasai_smt::Deadline::NONE`] never expires, keeping campaigns fully
     /// deterministic.
     pub deadline: wasai_smt::Deadline,
-    /// Enable the solver reuse layer: the per-campaign query memo cache and
-    /// shared-prefix incremental solving (plus the fleet-wide cache when one
-    /// is attached). Reuse is observationally pure — reports and traces
-    /// (modulo the `cache_hit`/`incremental` tags) are byte-identical either
-    /// way — so disabling it is only useful for measuring what it saves.
+    /// Enable the solver reuse layer: the per-campaign query memo cache
+    /// (plus the fleet-wide cache when one is attached). Reuse gates only
+    /// the cache lookups and stores; every miss is one from-scratch
+    /// `wasai_smt::check`. Reuse is observationally pure — reports and
+    /// traces (modulo the `cache_hit`/`incremental` tags) are byte-identical
+    /// either way — so disabling it is only useful as the reference arm.
     pub smt_reuse: bool,
 }
 

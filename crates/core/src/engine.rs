@@ -18,7 +18,7 @@ use wasai_chain::action::ApiEvent;
 use wasai_chain::name::Name;
 use wasai_chain::{Chain, Receipt, Transaction};
 use wasai_obs as obs;
-use wasai_smt::{CachedQuery, PrefixSolver, QueryKey, SolveResult, SolverCache};
+use wasai_smt::{CachedQuery, QueryKey, SolveResult, SolverCache};
 use wasai_symex::{constraint_vars, flip_queries, seed_from_model, Replayer, MAX_FLIP_ATTEMPTS};
 
 use crate::clock::VirtualClock;
@@ -531,10 +531,6 @@ impl Engine {
         budget.deadline = budget.deadline.earliest(self.cfg.deadline);
 
         let set = flip_queries(&outcome, &self.explored);
-        // One incremental session per replay: every query shares this
-        // replay's path-constraint chain, so the common prefix is blasted
-        // once and each flip solves from a fork of it.
-        let mut session = PrefixSolver::new(&outcome.pool);
         let mut solved = 0usize;
         let mut new_seeds = Vec::new();
         for q in &set.queries {
@@ -557,72 +553,53 @@ impl Engine {
             *tries += 1;
             stage::enter(stage::SOLVE);
             let solve_timer = obs::ScopeTimer::start(obs::Histogram::SolveWallSeconds);
-            let prefix = &set.prefix[..q.prefix_len];
-            let (result, stats, cache_hit, incremental) = if self.cfg.smt_reuse {
-                let qkey = wasai_smt::query_key(
+            let constraints = q.constraints(&set.prefix);
+            // Reuse gates only the cache layers: the campaign memo (L1),
+            // then the fleet cache (L2), then one from-scratch `check`. A
+            // hit replays the exact (result, stats) the solve would produce.
+            let qkey = self.cfg.smt_reuse.then(|| {
+                obs::inc(obs::Counter::CacheLookupsCampaign);
+                wasai_smt::query_key(
                     &outcome.pool,
-                    prefix,
+                    &constraints[..q.prefix_len],
                     Some(q.flipped),
                     budget.max_conflicts,
-                );
-                obs::inc(obs::Counter::CacheLookupsCampaign);
-                if let Some(entry) = self.memo.get(&qkey) {
-                    obs::inc(obs::Counter::CacheHitsCampaign);
-                    // L1: an identical canonical query was resolved earlier
-                    // this campaign — replay its exact (result, stats), and
-                    // advance the session over the prefix just like an L2
-                    // hit, so the `incremental` tag of later queries has one
-                    // meaning regardless of which layer answered.
-                    let (r, s) = entry.decode(&outcome.pool);
-                    let incremental = session.started();
-                    session.advance(prefix);
-                    (r, s, true, incremental)
-                } else {
-                    let incremental = session.started();
-                    let fleet_hit = self
-                        .solver_cache
-                        .as_ref()
-                        .and_then(|c| c.lookup(&qkey, &outcome.pool));
-                    let (r, s) = match fleet_hit {
-                        Some(hit) => {
-                            // L2: a sibling campaign already solved this.
-                            // Advance the session anyway so its state (and
-                            // the `incremental` tag of later queries) does
-                            // not depend on who populated the fleet cache.
-                            session.advance(prefix);
-                            hit
-                        }
-                        None => {
-                            let (r, s) = session.solve(prefix, q.flipped, budget);
-                            // A deadline-truncated Unknown is a watchdog
-                            // artifact, not the query's answer — memoizing
-                            // it would replay the truncation into sibling
-                            // campaigns whose solves had time, so only
-                            // definitive outcomes enter the fleet cache.
-                            if wasai_smt::cacheable(&r, &budget) {
-                                if let Some(cache) = &self.solver_cache {
-                                    cache.store(
-                                        qkey.clone(),
-                                        CachedQuery::encode(&outcome.pool, &r, s),
-                                    );
-                                }
-                            }
-                            (r, s)
-                        }
-                    };
-                    // Same rule for the per-campaign memo: a transient
-                    // Unknown must not shadow a later retry of this key.
-                    if wasai_smt::cacheable(&r, &budget) {
-                        self.memo
-                            .insert(qkey, CachedQuery::encode(&outcome.pool, &r, s));
-                    }
-                    (r, s, false, incremental)
-                }
+                )
+            });
+            let memo_hit = qkey.as_ref().and_then(|k| self.memo.get(k));
+            let (result, stats, cache_hit) = if let Some(entry) = memo_hit {
+                obs::inc(obs::Counter::CacheHitsCampaign);
+                let (r, s) = entry.decode(&outcome.pool);
+                (r, s, true)
             } else {
-                let constraints = q.constraints(&set.prefix);
-                let (r, s) = wasai_smt::check(&outcome.pool, &constraints, budget);
-                (r, s, false, false)
+                let fleet = self.solver_cache.as_ref().zip(qkey.as_ref());
+                let (r, s) = match fleet.and_then(|(c, k)| c.lookup(k, &outcome.pool)) {
+                    Some(hit) => hit,
+                    None => {
+                        let (r, s) = wasai_smt::check(&outcome.pool, &constraints, budget);
+                        // A deadline-truncated Unknown is a watchdog
+                        // artifact, not the query's answer — memoizing it
+                        // would replay the truncation into sibling
+                        // campaigns whose solves had time, so only
+                        // definitive outcomes enter the fleet cache.
+                        if let Some((cache, k)) =
+                            fleet.filter(|_| wasai_smt::cacheable(&r, &budget))
+                        {
+                            cache.store(k.clone(), CachedQuery::encode(&outcome.pool, &r, s));
+                        }
+                        (r, s)
+                    }
+                };
+                // Same rule for the per-campaign memo: a transient Unknown
+                // must not shadow a later retry of this key.
+                if let Some(k) = qkey.filter(|_| wasai_smt::cacheable(&r, &budget)) {
+                    self.memo
+                        .insert(k, CachedQuery::encode(&outcome.pool, &r, s));
+                }
+                (r, s, false)
             };
+            // Not the first query answered for this replay (reuse on only).
+            let incremental = self.cfg.smt_reuse && solved > 0;
             drop(solve_timer);
             stage::enter(stage::CAMPAIGN);
             obs::inc(match result {
@@ -665,7 +642,6 @@ impl Engine {
                     direction: key.2,
                     vtime: self.clock.micros(),
                 });
-                let constraints = q.constraints(&set.prefix);
                 let vars = constraint_vars(&outcome.pool, &constraints);
                 let new_params = seed_from_model(&outcome.spec, &outcome.pool, &model, &vars);
                 self.pool.push(action, new_params.clone());

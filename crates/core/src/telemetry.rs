@@ -175,12 +175,10 @@ pub enum TelemetryEvent {
         /// Deterministic: independent of worker count and of any fleet-level
         /// cache.
         cache_hit: bool,
-        /// The shared-prefix incremental session had already consumed part
-        /// of this replay's path constraints when this query arrived. Every
-        /// earlier query of the replay advances the session — whether it
-        /// was solved or replayed from the memo/fleet cache — so the tag
-        /// has one meaning regardless of which layer answered, and stays
-        /// deterministic.
+        /// Not the first query answered for this replay (always false with
+        /// solver reuse off). Earlier queries count whether they were
+        /// solved or replayed from the memo/fleet cache, so the tag does not
+        /// depend on which layer answered, and stays deterministic.
         incremental: bool,
         /// Virtual microseconds at emission (after the charge).
         vtime: u64,
@@ -568,7 +566,7 @@ pub struct Metrics {
     pub smt_conflicts: u64,
     /// SMT queries answered from the campaign memo cache.
     pub smt_cache_hits: u64,
-    /// SMT queries answered through the shared-prefix incremental session.
+    /// SMT queries tagged `incremental` (not their replay's first query).
     pub smt_incremental: u64,
     /// Virtual-time histograms per stage.
     pub stage_vtime: BTreeMap<Stage, VtimeHistogram>,

@@ -124,8 +124,6 @@ metric_enum! {
         CacheHitsFleet,
         /// `wasai_smt_cache_store_dropped_total`
         CacheStoreDropped,
-        /// `wasai_smt_prefix_forks_total`
-        PrefixForks,
         /// `wasai_vm_instructions_total`
         VmInstructions,
         /// `wasai_vm_tape_compiles_total`
@@ -170,7 +168,6 @@ impl Counter {
             }
             Counter::CacheHitsCampaign | Counter::CacheHitsFleet => "wasai_smt_cache_hits_total",
             Counter::CacheStoreDropped => "wasai_smt_cache_store_dropped_total",
-            Counter::PrefixForks => "wasai_smt_prefix_forks_total",
             Counter::VmInstructions => "wasai_vm_instructions_total",
             Counter::VmTapeCompiles => "wasai_vm_tape_compiles_total",
             Counter::VmSnapshotRestores => "wasai_vm_snapshot_restores_total",
@@ -241,7 +238,6 @@ impl Counter {
             Counter::CacheStoreDropped => {
                 "Fleet query-cache entries lost to the capacity cap (refused or evicted)."
             }
-            Counter::PrefixForks => "Queries answered by forking a shared-prefix SAT instance.",
             Counter::VmInstructions => "Wasm instructions interpreted by the VM.",
             Counter::VmTapeCompiles => "Modules lowered to threaded-code tapes by the fast path.",
             Counter::VmSnapshotRestores => {

@@ -13,11 +13,7 @@ use crate::sat::{Lit, SatSolver};
 use crate::term::{BvOp, CmpOp, Sort, TermId, TermKind, TermPool};
 
 /// Lowers a term DAG into a [`SatSolver`].
-///
-/// `Clone` forks the whole encoding — SAT instance plus gate caches — so a
-/// shared path-prefix encoding can be extended per flip query without
-/// re-blasting the prefix (see [`crate::prefix::PrefixSolver`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BitBlaster<'p> {
     pool: &'p TermPool,
     /// The SAT instance being built.

@@ -17,10 +17,9 @@
 //!   VSIDS activities, phase saving, restarts);
 //! - [`solver`]: the assert/check/model frontend with the deterministic
 //!   resource budget that replaces the paper's 3,000 ms cap;
-//! - [`canon`] / [`cache`] / [`prefix`]: the reuse layer — pool-independent
-//!   canonical query keys, a fleet-shared memo cache, and shared-prefix
-//!   incremental solving for flip-query families. All three are
-//!   observationally identical to calling [`check`] from scratch.
+//! - [`canon`] / [`cache`]: the reuse layer — pool-independent canonical
+//!   query keys and a fleet-shared memo cache that replays the exact
+//!   `(result, stats)` a from-scratch [`check`] produces.
 //! - [`persist`]: journal-grade on-disk warm-start persistence for the
 //!   fleet cache.
 //!
@@ -55,7 +54,6 @@ pub mod cache;
 pub mod canon;
 pub mod deadline;
 pub mod persist;
-pub mod prefix;
 pub mod sat;
 pub mod solver;
 pub mod term;
@@ -63,7 +61,6 @@ pub mod term;
 pub use cache::{cacheable, CachedQuery, SolverCache};
 pub use canon::{query_key, QueryKey, CANON_VERSION};
 pub use deadline::Deadline;
-pub use prefix::PrefixSolver;
 pub use solver::{check, Budget, Model, SolveResult, SolveStats};
 pub use term::{BvOp, CmpOp, Sort, TermId, TermKind, TermPool};
 
@@ -92,8 +89,49 @@ mod proptests {
         ]
     }
 
+    fn arb_cmp() -> impl Strategy<Value = CmpOp> {
+        prop_oneof![
+            Just(CmpOp::Eq),
+            Just(CmpOp::Ult),
+            Just(CmpOp::Ule),
+            Just(CmpOp::Slt),
+            Just(CmpOp::Sle),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `check` is complete on narrow widths: over two variables of 1, 2
+        /// or 4 bits (symbolic rotates need a power-of-two width), a
+        /// conjunction of random comparisons of random bit-ops is Sat
+        /// exactly when brute-force enumeration finds a witness.
+        #[test]
+        fn check_agrees_with_enumeration(
+            log_w in 0u32..3,
+            ops in (arb_op(), arb_op()),
+            cmps in (arb_cmp(), arb_cmp()),
+            consts in (any::<u64>(), any::<u64>()),
+            negate in any::<bool>(),
+        ) {
+            let w = 1 << log_w;
+            let mut p = TermPool::new();
+            let x = p.var("x", w);
+            let y = p.var("y", w);
+            let c0 = p.bv_const(consts.0, w);
+            let c1 = p.bv_const(consts.1, w);
+            let lhs0 = p.bv(ops.0, x, y);
+            let lhs1 = p.bv(ops.1, y, x);
+            let a0 = p.cmp(cmps.0, lhs0, c0);
+            let a1 = p.cmp(cmps.1, lhs1, c1);
+            let a1 = if negate { p.not(a1) } else { a1 };
+            let (res, _) = check(&p, &[a0, a1], Budget::default());
+            let witness = (0..1u64 << w)
+                .flat_map(|xv| (0..1u64 << w).map(move |yv| [xv, yv]))
+                .find(|v| p.eval(a0, v) == 1 && p.eval(a1, v) == 1);
+            prop_assert_eq!(matches!(res, SolveResult::Sat(_)), witness.is_some(),
+                "w {} ops {:?} cmps {:?} consts {:?} negate {}", w, ops, cmps, consts, negate);
+        }
 
         /// The bit-blaster and the term evaluator must agree: for random op
         /// and constants x, y, asserting `op(X, Y) == eval(op, x, y) ∧ X == x

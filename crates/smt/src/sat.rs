@@ -66,12 +66,7 @@ pub enum SatOutcome {
 const UNASSIGNED: i8 = -1;
 
 /// The solver.
-///
-/// `Clone` snapshots the complete solver state — clause database, trail,
-/// activities, counters. [`crate::prefix::PrefixSolver`] uses this to fork a
-/// shared path-prefix instance per flip query, which is what makes
-/// shared-prefix solving bit-for-bit identical to solving from scratch.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct SatSolver {
     /// Clause literal storage; index = clause id.
     clauses: Vec<Vec<Lit>>,

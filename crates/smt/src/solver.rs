@@ -127,7 +127,7 @@ pub struct SolveStats {
 /// repeated assertion hits the blaster's cache and its unit is already
 /// true), so it never changes results or solve statistics — it only lets
 /// fully trivial queries skip the blaster entirely.
-pub(crate) fn preprocess(pool: &TermPool, assertions: &[TermId]) -> Option<Vec<TermId>> {
+fn preprocess(pool: &TermPool, assertions: &[TermId]) -> Option<Vec<TermId>> {
     if assertions.iter().any(|&a| pool.as_const(a) == Some(0)) {
         return None;
     }
@@ -144,46 +144,13 @@ pub(crate) fn preprocess(pool: &TermPool, assertions: &[TermId]) -> Option<Vec<T
     Some(effective)
 }
 
-/// Read the full solve statistics out of a blaster.
-pub(crate) fn stats_of(bb: &BitBlaster<'_>) -> SolveStats {
-    SolveStats {
-        conflicts: bb.sat.conflicts,
-        propagations: bb.sat.propagations,
-        sat_vars: bb.sat.num_vars(),
-        sat_clauses: bb.sat.num_clauses(),
-    }
-}
-
-/// Build the [`SolveResult`] for a finished blaster: on Sat, a model with an
-/// explicit entry for every pool variable (unconstrained ones read 0).
-pub(crate) fn result_of(pool: &TermPool, bb: &BitBlaster<'_>, outcome: SatOutcome) -> SolveResult {
-    match outcome {
-        SatOutcome::Sat => {
-            // Zero values stay implicit ([`Model::value`] defaults to 0), so
-            // models are canonical: a memoized model decoded in another pool
-            // compares equal to the one a fresh solve would have built.
-            let mut values = HashMap::new();
-            for v in 0..pool.vars().len() as u32 {
-                let value = bb.var_value(v);
-                if value != 0 {
-                    values.insert(v, value);
-                }
-            }
-            SolveResult::Sat(Model { values })
-        }
-        SatOutcome::Unsat => SolveResult::Unsat,
-        SatOutcome::Unknown => SolveResult::Unknown,
-    }
-}
-
 /// Check the conjunction of `assertions` under `budget`.
 ///
 /// Each call bit-blasts its (preprocessed) assertion list from scratch,
-/// which keeps the solver stateless and is the reference semantics the
-/// reuse layer must reproduce bit-for-bit: [`crate::prefix::PrefixSolver`]
-/// answers the same queries from a shared prefix encoding, and
-/// [`crate::cache::SolverCache`] replays memoized `(result, stats)` pairs —
-/// both are observationally identical to calling `check`.
+/// which keeps the solver stateless: the same query always yields the same
+/// result and statistics, so [`crate::cache::SolverCache`] can replay a
+/// memoized `(result, stats)` pair in place of a solve. Debug builds check
+/// every `Sat` model against each assertion with [`TermPool::eval`].
 pub fn check(pool: &TermPool, assertions: &[TermId], budget: Budget) -> (SolveResult, SolveStats) {
     // Fast paths: constant-folded assertions never reach the blaster.
     let Some(effective) = preprocess(pool, assertions) else {
@@ -197,8 +164,35 @@ pub fn check(pool: &TermPool, assertions: &[TermId], budget: Budget) -> (SolveRe
         bb.assert_true(a);
     }
     let outcome = bb.sat.solve(budget.max_conflicts, budget.deadline);
-    let stats = stats_of(&bb);
-    (result_of(pool, &bb, outcome), stats)
+    let stats = SolveStats {
+        conflicts: bb.sat.conflicts,
+        propagations: bb.sat.propagations,
+        sat_vars: bb.sat.num_vars(),
+        sat_clauses: bb.sat.num_clauses(),
+    };
+    let result = match outcome {
+        SatOutcome::Sat => {
+            // Zero values stay implicit ([`Model::value`] defaults to 0), so
+            // models are canonical: a memoized model decoded in another pool
+            // compares equal to the one a fresh solve would have built.
+            let values = (0..pool.vars().len() as u32)
+                .map(|v| (v, bb.var_value(v)))
+                .filter(|&(_, value)| value != 0)
+                .collect();
+            let model = Model { values };
+            #[cfg(debug_assertions)]
+            {
+                let dense = model.to_vec(pool);
+                for &a in &effective {
+                    assert_eq!(pool.eval(a, &dense), 1, "Sat model violates {a:?}");
+                }
+            }
+            SolveResult::Sat(model)
+        }
+        SatOutcome::Unsat => SolveResult::Unsat,
+        SatOutcome::Unknown => SolveResult::Unknown,
+    };
+    (result, stats)
 }
 
 #[cfg(test)]
@@ -316,6 +310,71 @@ mod tests {
         };
         let (res, _) = check(&p, &[a], budget);
         assert_eq!(res, SolveResult::Unknown);
+    }
+
+    /// A replay-shaped flip family whose prefix pins a *bounded* factoring
+    /// constraint (`a·b = K, 2 ≤ a,b < 64`): bounding the operands defeats
+    /// the modular-wraparound shortcut, so CDCL genuinely searches and
+    /// learns non-unit clauses. Returns the path; query `i` asserts
+    /// `path[..i] ∧ ¬path[i]`. `salt` randomizes constants (LCG).
+    fn hard_family(pool: &mut TermPool, steps: usize, salt: u64) -> Vec<TermId> {
+        let mut rng = salt.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng >> 33
+        };
+        let a = pool.var("arg0", 12);
+        let b = pool.var("arg1", 12);
+        let product = pool.bv(BvOp::Mul, a, b);
+        let k = pool.bv_const((next() % 50 + 13) * (next() % 40 + 11), 12);
+        let lim = pool.bv_const(64, 12);
+        let two = pool.bv_const(2, 12);
+        let mut path = vec![
+            pool.eq(product, k),
+            pool.cmp(CmpOp::Ult, a, lim),
+            pool.cmp(CmpOp::Ult, b, lim),
+            pool.cmp(CmpOp::Ule, two, a),
+            pool.cmp(CmpOp::Ule, two, b),
+        ];
+        for i in 0..steps {
+            let k = pool.bv_const(next() % 60 + 2, 12);
+            let guard = if i % 2 == 0 {
+                pool.cmp(CmpOp::Ult, a, k)
+            } else {
+                let x = pool.bv(BvOp::Xor, a, b);
+                pool.cmp(CmpOp::Ule, x, k)
+            };
+            path.push(guard);
+        }
+        path
+    }
+
+    #[test]
+    fn hard_family_learns_and_its_models_check() {
+        // CDCL learning must keep a correctness test: the family's searches
+        // conflict, every model satisfies its query, and a repeated check
+        // reproduces the (result, stats) pair the caches replay.
+        let mut conflicts = 0u64;
+        for salt in 0..16 {
+            let mut pool = TermPool::new();
+            let path = hard_family(&mut pool, 6, salt);
+            for i in 0..path.len() {
+                let mut query = path[..i].to_vec();
+                query.push(pool.not(path[i]));
+                let (res, stats) = check(&pool, &query, Budget::default());
+                if let SolveResult::Sat(model) = &res {
+                    let values = model.to_vec(&pool);
+                    for &a in &query {
+                        assert_eq!(pool.eval(a, &values), 1, "salt {salt} flip {i}");
+                    }
+                }
+                assert_eq!(check(&pool, &query, Budget::default()), (res, stats));
+                conflicts += stats.conflicts;
+            }
+        }
+        assert!(conflicts > 0, "hard family never reached a conflict");
     }
 
     #[test]

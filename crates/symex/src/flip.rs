@@ -7,10 +7,8 @@
 //!
 //! All queries from one replay share the same path-constraint chain, so the
 //! result is a [`FlipSet`]: the chain stored once, plus per-query
-//! `(prefix_len, flipped)` pairs. That shape is what lets the solver blast
-//! the shared prefix a single time and answer every flip from it
-//! (`wasai_smt::PrefixSolver`), instead of re-encoding a cloned constraint
-//! vector per query.
+//! `(prefix_len, flipped)` pairs. A query's constraint list is materialized
+//! only when it reaches the solver ([`FlipQuery::constraints`]).
 //!
 //! [`FlipSites`] answers the question before any of that work: from the
 //! concrete trace alone, could the replay yield a query still worth
@@ -73,7 +71,7 @@ impl FlipQuery {
     }
 
     /// Materialize the full constraint list against the owning set's
-    /// `prefix` (compatibility path for callers that solve from scratch).
+    /// `prefix`.
     pub fn constraints(&self, prefix: &[TermId]) -> Vec<TermId> {
         let mut out: Vec<TermId> = prefix[..self.prefix_len].to_vec();
         out.push(self.flipped);
@@ -86,8 +84,7 @@ impl FlipQuery {
 pub struct FlipSet {
     /// The replay's full path-constraint chain; each query uses a prefix of
     /// it. Queries appear in trace order, so their `prefix_len`s are
-    /// non-decreasing — exactly the access pattern incremental solving
-    /// wants.
+    /// non-decreasing.
     pub prefix: Vec<TermId>,
     /// The queries, in trace order.
     pub queries: Vec<FlipQuery>,
