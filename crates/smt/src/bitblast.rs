@@ -222,17 +222,26 @@ impl<'p> BitBlaster<'p> {
         (quo, rem)
     }
 
+    /// The shift amount reduced modulo the width `w` (Wasm and `eval`
+    /// semantics), and the number of barrel stages it needs. For a
+    /// power-of-two width the reduction is the low `log2 w` bits; any other
+    /// width goes through the divider and needs ⌈log2 w⌉ stages.
+    fn shift_amount(&mut self, amount: &[Lit]) -> (Vec<Lit>, usize) {
+        let w = amount.len();
+        if w.is_power_of_two() {
+            return (amount.to_vec(), w.trailing_zeros() as usize);
+        }
+        let modulus: Vec<Lit> = (0..w).map(|i| self.const_lit(w >> i & 1 == 1)).collect();
+        let (_, rem) = self.udivrem(amount, &modulus);
+        (rem, (usize::BITS - (w - 1).leading_zeros()) as usize)
+    }
+
     /// Barrel shifter. `left = true` for shl; `arith` for ashr. The shift
-    /// amount is reduced modulo the width (Wasm semantics); widths must be
-    /// powers of two for that reduction to be a bit-slice.
+    /// amount is reduced modulo the width (Wasm semantics).
     #[allow(clippy::needless_range_loop)] // index math is clearer than iterators here
     fn shift(&mut self, a: &[Lit], amount: &[Lit], left: bool, arith: bool) -> Vec<Lit> {
         let w = a.len();
-        assert!(
-            w.is_power_of_two(),
-            "symbolic shifts require power-of-two width, got {w}"
-        );
-        let stages = w.trailing_zeros() as usize;
+        let (amount, stages) = self.shift_amount(amount);
         let fill = if arith { a[w - 1] } else { self.lit_false() };
         let mut cur: Vec<Lit> = a.to_vec();
         for k in 0..stages {
@@ -258,11 +267,7 @@ impl<'p> BitBlaster<'p> {
     #[allow(clippy::needless_range_loop)] // index math is clearer than iterators here
     fn rotate(&mut self, a: &[Lit], amount: &[Lit], left: bool) -> Vec<Lit> {
         let w = a.len();
-        assert!(
-            w.is_power_of_two(),
-            "symbolic rotates require power-of-two width"
-        );
-        let stages = w.trailing_zeros() as usize;
+        let (amount, stages) = self.shift_amount(amount);
         let mut cur: Vec<Lit> = a.to_vec();
         for k in 0..stages {
             let s = amount[k];
@@ -585,6 +590,31 @@ mod tests {
         let eq = p.eq(shl, target);
         let model = solve_for(&mut p, &[eq]).expect("sat");
         assert_eq!(model[0] & 0x1fff, 0b101);
+    }
+
+    #[test]
+    fn shifts_and_rotates_match_eval_at_odd_widths() {
+        // At a width that is not a power of two the amount is reduced
+        // through the divider: every (x, y), amounts past the width
+        // included, must blast to the value `eval` computes.
+        for w in [3u32, 5] {
+            for op in [BvOp::Shl, BvOp::LShr, BvOp::AShr, BvOp::Rotl, BvOp::Rotr] {
+                for xv in 0..1u64 << w {
+                    for yv in 0..1u64 << w {
+                        let mut p = TermPool::new();
+                        let x = p.var("x", w);
+                        let y = p.var("y", w);
+                        let r = p.var("r", w);
+                        let t = p.bv(op, x, y);
+                        let cx = p.bv_const(xv, w);
+                        let cy = p.bv_const(yv, w);
+                        let pins = [p.eq(x, cx), p.eq(y, cy), p.eq(r, t)];
+                        let model = solve_for(&mut p, &pins).expect("sat");
+                        assert_eq!(model[2], p.eval(t, &[xv, yv]), "w {w} {op:?} x {xv} y {yv}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

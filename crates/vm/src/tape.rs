@@ -3,10 +3,21 @@
 //! [`lower_module`] flattens each validated function body once into a
 //! threaded-code tape: structured control (`block`/`loop`/`end`/`nop`)
 //! disappears entirely, branch targets are pre-resolved to tape offsets with
-//! their stack adjustment (`trunc`/`keep`) baked in, common
-//! `local.get`+`local.get`/`i32.const`+op windows are fused into
-//! superinstructions, and fuel is charged in per-basic-block batches instead
-//! of per instruction.
+//! their stack adjustment (`trunc`/`keep`) baked in, and fuel is charged in
+//! per-basic-block batches instead of per instruction.
+//!
+//! # The one fused window
+//!
+//! Campaigns run contracts in their instrumented form, where a
+//! `trace_site` hook call precedes every original instruction, so a
+//! multi-instruction window of the original code never survives into the
+//! module that runs. One window does: before each logged binary op or
+//! comparison, the instrumenter restores its operands from scratch locals
+//! as `local.get a; local.get b` right in front of the op. That window
+//! lowers to one `GetGet{Bin,Cmp}{I32,I64}` op; every other instruction
+//! lowers to exactly one op. The window is kept because deleting it
+//! measurably slowed the decode-loop-heavy `wild_sdk` bench workload
+//! (DESIGN.md, "Tape format").
 //!
 //! # Fuel batching
 //!
@@ -28,8 +39,9 @@
 //! Lowering is all-or-nothing per module: any function the mini-validator
 //! cannot track (stack-height surprises, bad indices) makes the whole module
 //! fall back to the reference interpreter. The differential suite
-//! (`tests/vm_fastpath.rs` and the property tests below) pins tape and
-//! reference to byte-identical results, traps, traces and fuel.
+//! (`tests/vm_fastpath.rs`, the tests below and the generated-module arm of
+//! `crates/wasm/tests/proptests.rs`) pins tape and reference to
+//! byte-identical results, traps, traces and fuel.
 
 use wasai_wasm::instr::{Instr, InstrClass};
 use wasai_wasm::module::Module;
@@ -52,7 +64,7 @@ pub(crate) struct BrDest {
     keep: u32,
 }
 
-/// Comparison selector for fused compare superinstructions.
+/// Comparison selector of the fused `local.get; local.get; <cmp>` ops.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Cmp {
     Eq,
@@ -133,9 +145,9 @@ impl Cmp {
     }
 }
 
-/// Binary-operator selector for fused arithmetic superinstructions. The
-/// evaluation rules mirror [`numeric::exec`] exactly (wrapping arithmetic,
-/// masked shift counts).
+/// Binary-operator selector of the fused `local.get; local.get; <binop>`
+/// ops. The evaluation rules mirror [`numeric::exec`] exactly (wrapping
+/// arithmetic, masked shift counts).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Bin {
     Add,
@@ -212,7 +224,14 @@ impl Bin {
 }
 
 /// One flattened tape operation.
+///
+/// `repr(u8)` keeps the tag a plain byte. Left to itself, the compiler
+/// packs the tag into a niche of `Num`'s `Instr`, and every dispatch in
+/// [`run`] must then decode it with a compare and a conditional move; that
+/// cost the VM-bound bench workloads (`wild_sdk`, `cosmwasm`) 13–16% of
+/// their throughput.
 #[derive(Debug, Clone)]
+#[repr(u8)]
 pub(crate) enum OpKind {
     /// Pure fuel charge for structural instructions before a jump target.
     Charge,
@@ -290,97 +309,6 @@ pub(crate) enum OpKind {
     GetGetCmpI32 { a: u32, b: u32, cmp: Cmp },
     /// Fused `local.get a; local.get b; i64 comparison`.
     GetGetCmpI64 { a: u32, b: u32, cmp: Cmp },
-    /// Fused `local.get x; i32.const c; <i32 binop>`.
-    GetConstBinI32 { x: u32, c: i32, op: Bin },
-    /// Fused `local.get x; i64.const c; <i64 binop>`.
-    GetConstBinI64 { x: u32, c: i64, op: Bin },
-    /// Fused `local.get x; i32.const c; i32 comparison`.
-    GetConstCmpI32 { x: u32, c: i32, cmp: Cmp },
-    /// Fused `local.get x; i64.const c; i64 comparison`.
-    GetConstCmpI64 { x: u32, c: i64, cmp: Cmp },
-    /// Fused `i32.const c; <i32 binop>` (left operand from the stack).
-    ConstBinI32 { c: i32, op: Bin },
-    /// Fused `i64.const c; <i64 binop>` (left operand from the stack).
-    ConstBinI64 { c: i64, op: Bin },
-    /// Fused `i32.const c; <i32 cmp>` (left operand from the stack).
-    ConstCmpI32 { c: i32, cmp: Cmp },
-    /// Fused `i64.const c; <i64 cmp>` (left operand from the stack).
-    ConstCmpI64 { c: i64, cmp: Cmp },
-    /// Fused `local.get a; local.get b; <i32 cmp>; br_if`.
-    GetGetCmpBrI32 {
-        a: u32,
-        b: u32,
-        cmp: Cmp,
-        dest: BrDest,
-    },
-    /// Fused `local.get a; local.get b; <i64 cmp>; br_if`.
-    GetGetCmpBrI64 {
-        a: u32,
-        b: u32,
-        cmp: Cmp,
-        dest: BrDest,
-    },
-    /// Fused `local.get x; i32.const c; <i32 cmp>; br_if`.
-    GetConstCmpBrI32 {
-        x: u32,
-        c: i32,
-        cmp: Cmp,
-        dest: BrDest,
-    },
-    /// Fused `local.get x; i64.const c; <i64 cmp>; br_if`.
-    GetConstCmpBrI64 {
-        x: u32,
-        c: i64,
-        cmp: Cmp,
-        dest: BrDest,
-    },
-    /// Fused `i32.const c; <i32 cmp>; br_if` (left operand from the stack).
-    ConstCmpBrI32 { c: i32, cmp: Cmp, dest: BrDest },
-    /// Fused `i64.const c; <i64 cmp>; br_if` (left operand from the stack).
-    ConstCmpBrI64 { c: i64, cmp: Cmp, dest: BrDest },
-    /// Fused `local.get a; local.get b; <i32 cmp>; if` — jump when false.
-    GetGetCmpIfI32 { a: u32, b: u32, cmp: Cmp, t: u32 },
-    /// Fused `local.get a; local.get b; <i64 cmp>; if` — jump when false.
-    GetGetCmpIfI64 { a: u32, b: u32, cmp: Cmp, t: u32 },
-    /// Fused `local.get x; i32.const c; <i32 cmp>; if` — jump when false.
-    GetConstCmpIfI32 { x: u32, c: i32, cmp: Cmp, t: u32 },
-    /// Fused `local.get x; i64.const c; <i64 cmp>; if` — jump when false.
-    GetConstCmpIfI64 { x: u32, c: i64, cmp: Cmp, t: u32 },
-    /// Fused `i32.const c; <i32 cmp>; if` (left from the stack).
-    ConstCmpIfI32 { c: i32, cmp: Cmp, t: u32 },
-    /// Fused `i64.const c; <i64 cmp>; if` (left from the stack).
-    ConstCmpIfI64 { c: i64, cmp: Cmp, t: u32 },
-    /// Fused non-trapping binary whose result sinks into `local.set x`.
-    BinSet { wide: bool, op: Bin, x: u32 },
-    /// Fused non-trapping binary whose result sinks into `local.tee x`.
-    BinTee { wide: bool, op: Bin, x: u32 },
-    /// The canonical counted-loop backedge every compiler emits:
-    /// `local.get x; i32.const s; <i32 bin>; local.tee t; i32.const n;
-    /// <i32 cmp>; br_if l` — seven instructions, one dispatch, zero value
-    /// stack traffic.
-    LoopBackedgeI32 {
-        x: u32,
-        s: i32,
-        op: Bin,
-        tee: u32,
-        n: i32,
-        cmp: Cmp,
-        dest: BrDest,
-    },
-    /// The masked buffer-indexing idiom of SDK deserializers:
-    /// `i32.const k; local.get x; i32.const c; <i32 bin>; i32.add; <load>`
-    /// (plus an absorbable widening extend) — address computed directly
-    /// from the local, loaded value pushed.
-    IdxLoad {
-        x: u32,
-        c: i32,
-        op: Bin,
-        k: i32,
-        offset: u32,
-        bytes: u8,
-        signed: bool,
-        ty: ValType,
-    },
     /// Numeric tail: shares [`numeric::exec`] with the reference loop.
     Num(Instr),
 }
@@ -729,144 +657,8 @@ fn lower_function(module: &Module, local_i: usize, targets: &[CtrlTarget]) -> Op
                 pending = 0;
             }
             Instr::LocalGet(x) => {
-                // Superinstruction fusion: windows with no interior jump
-                // target collapse into one op charging every covered tick.
-                // Widest first: the seven-instruction counted-loop backedge
-                // `local.get x; i32.const s; <bin>; local.tee t; i32.const n;
-                // <cmp>; br_if l` — the `i += s; if i < n continue` shape.
-                // Net stack effect is zero, so the label resolves at `h`.
-                if pc + 6 < body_len && !jt[pc + 1..=pc + 6].iter().any(|&t| t) {
-                    if let (
-                        Instr::I32Const(s),
-                        Instr::LocalTee(tee),
-                        Instr::I32Const(n),
-                        Instr::BrIf(l),
-                    ) = (
-                        &f.body[pc + 1],
-                        &f.body[pc + 3],
-                        &f.body[pc + 4],
-                        &f.body[pc + 6],
-                    ) {
-                        if let (Some(op), Some(cmp)) =
-                            (Bin::of_i32(&f.body[pc + 2]), Cmp::of_i32(&f.body[pc + 5]))
-                        {
-                            let dest = resolve(*l, &ctrls, h)?;
-                            ops.push(TapeOp {
-                                cost: pending + 7,
-                                kind: OpKind::LoopBackedgeI32 {
-                                    x: *x,
-                                    s: *s,
-                                    op,
-                                    tee: *tee,
-                                    n: *n,
-                                    cmp,
-                                    dest,
-                                },
-                            });
-                            pending = 0;
-                            let ip = ops.len() as u32 - 1;
-                            for d in 1..=6 {
-                                pc_to_ip[pc + d] = ip;
-                            }
-                            pc += 7;
-                            continue;
-                        }
-                    }
-                }
-                // The four-instruction compare-and-branch window next — it
-                // is the dominant guard shape.
-                if pc + 3 < body_len && !jt[pc + 1] && !jt[pc + 2] && !jt[pc + 3] {
-                    if let Some((rhs, cmp, wide)) = cmp_window(&f.body[pc + 1], &f.body[pc + 2]) {
-                        let kind = match &f.body[pc + 3] {
-                            Instr::BrIf(l) => {
-                                // Net stack effect of get+operand+cmp+br_if
-                                // is zero; resolve at the current height.
-                                let dest = resolve(*l, &ctrls, h)?;
-                                Some(match rhs {
-                                    Rhs::Local(b) if wide => OpKind::GetGetCmpBrI64 {
-                                        a: *x,
-                                        b,
-                                        cmp,
-                                        dest,
-                                    },
-                                    Rhs::Local(b) => OpKind::GetGetCmpBrI32 {
-                                        a: *x,
-                                        b,
-                                        cmp,
-                                        dest,
-                                    },
-                                    Rhs::K32(c) => OpKind::GetConstCmpBrI32 {
-                                        x: *x,
-                                        c,
-                                        cmp,
-                                        dest,
-                                    },
-                                    Rhs::K64(c) => OpKind::GetConstCmpBrI64 {
-                                        x: *x,
-                                        c,
-                                        cmp,
-                                        dest,
-                                    },
-                                })
-                            }
-                            Instr::If(bt) => {
-                                let t = targets[pc + 3];
-                                let false_target = match t.else_pc {
-                                    Some(e) => e + 1,
-                                    None => t.end_pc + 1,
-                                };
-                                ctrls.push(CtrlFrame {
-                                    height: h,
-                                    bt_arity: bt.arity() as u32,
-                                    is_loop: false,
-                                    start_pc: (pc + 3) as u32,
-                                    end_pc: t.end_pc,
-                                    dead: false,
-                                });
-                                Some(match rhs {
-                                    Rhs::Local(b) if wide => OpKind::GetGetCmpIfI64 {
-                                        a: *x,
-                                        b,
-                                        cmp,
-                                        t: false_target,
-                                    },
-                                    Rhs::Local(b) => OpKind::GetGetCmpIfI32 {
-                                        a: *x,
-                                        b,
-                                        cmp,
-                                        t: false_target,
-                                    },
-                                    Rhs::K32(c) => OpKind::GetConstCmpIfI32 {
-                                        x: *x,
-                                        c,
-                                        cmp,
-                                        t: false_target,
-                                    },
-                                    Rhs::K64(c) => OpKind::GetConstCmpIfI64 {
-                                        x: *x,
-                                        c,
-                                        cmp,
-                                        t: false_target,
-                                    },
-                                })
-                            }
-                            _ => None,
-                        };
-                        if let Some(kind) = kind {
-                            ops.push(TapeOp {
-                                cost: pending + 4,
-                                kind,
-                            });
-                            pending = 0;
-                            let ip = ops.len() as u32 - 1;
-                            pc_to_ip[pc + 1] = ip;
-                            pc_to_ip[pc + 2] = ip;
-                            pc_to_ip[pc + 3] = ip;
-                            pc += 4;
-                            continue;
-                        }
-                    }
-                }
+                // The operand restore (see `fuse`) collapses into one op,
+                // unless a jump lands inside it.
                 let fused = if pc + 2 < body_len && !jt[pc + 1] && !jt[pc + 2] {
                     fuse(*x, &f.body[pc + 1], &f.body[pc + 2])
                 } else {
@@ -938,125 +730,6 @@ fn lower_function(module: &Module, local_i: usize, targets: &[CtrlTarget]) -> Op
                 pending = 0;
             }
             Instr::I32Const(v) => {
-                // Indexed-load window: `i32.const k; local.get x;
-                // i32.const c; <i32 bin>; i32.add; <load>` (+ an absorbable
-                // widening extend) — the masked buffer-indexing idiom of SDK
-                // deserializers. Address comes straight from the local; the
-                // only stack effect is the single loaded-value push.
-                if pc + 5 < body_len && !jt[pc + 1..=pc + 5].iter().any(|&t| t) {
-                    if let (Instr::LocalGet(x), Instr::I32Const(c), Instr::I32Add) =
-                        (&f.body[pc + 1], &f.body[pc + 2], &f.body[pc + 4])
-                    {
-                        if let (Some(op), Some(acc)) =
-                            (Bin::of_i32(&f.body[pc + 3]), f.body[pc + 5].memory_access())
-                        {
-                            if !acc.is_store {
-                                let m = f.body[pc + 5].mem_arg().expect("load has memarg");
-                                let bytes = acc.bytes as u8;
-                                let mut signed = acc.signed;
-                                let mut ty = acc.val_type;
-                                let mut width = 6usize;
-                                if pc + 6 < body_len && !jt[pc + 6] {
-                                    if let Some((s2, t2)) =
-                                        absorb_extend(bytes, signed, ty, &f.body[pc + 6])
-                                    {
-                                        signed = s2;
-                                        ty = t2;
-                                        width = 7;
-                                    }
-                                }
-                                ops.push(TapeOp {
-                                    cost: pending + width as u32,
-                                    kind: OpKind::IdxLoad {
-                                        x: *x,
-                                        c: *c,
-                                        op,
-                                        k: *v,
-                                        offset: m.offset,
-                                        bytes,
-                                        signed,
-                                        ty,
-                                    },
-                                });
-                                pending = 0;
-                                h += 1;
-                                let ip = ops.len() as u32 - 1;
-                                for d in 1..width {
-                                    pc_to_ip[pc + d] = ip;
-                                }
-                                pc += width;
-                                continue;
-                            }
-                        }
-                    }
-                }
-                // Const-folded windows: the constant becomes the RHS, the
-                // LHS stays on the stack (`h >= 1` guarantees it exists).
-                if h >= 1 && pc + 2 < body_len && !jt[pc + 1] && !jt[pc + 2] {
-                    if let Some(cmp) = Cmp::of_i32(&f.body[pc + 1]) {
-                        let kind = match &f.body[pc + 2] {
-                            Instr::BrIf(l) => {
-                                // cmp replaces the LHS, br_if pops the flag.
-                                let dest = resolve(*l, &ctrls, h - 1)?;
-                                h -= 1;
-                                Some(OpKind::ConstCmpBrI32 { c: *v, cmp, dest })
-                            }
-                            Instr::If(bt) => {
-                                let t = targets[pc + 2];
-                                let false_target = match t.else_pc {
-                                    Some(e) => e + 1,
-                                    None => t.end_pc + 1,
-                                };
-                                h -= 1;
-                                ctrls.push(CtrlFrame {
-                                    height: h,
-                                    bt_arity: bt.arity() as u32,
-                                    is_loop: false,
-                                    start_pc: (pc + 2) as u32,
-                                    end_pc: t.end_pc,
-                                    dead: false,
-                                });
-                                Some(OpKind::ConstCmpIfI32 {
-                                    c: *v,
-                                    cmp,
-                                    t: false_target,
-                                })
-                            }
-                            _ => None,
-                        };
-                        if let Some(kind) = kind {
-                            ops.push(TapeOp {
-                                cost: pending + 3,
-                                kind,
-                            });
-                            pending = 0;
-                            let ip = ops.len() as u32 - 1;
-                            pc_to_ip[pc + 1] = ip;
-                            pc_to_ip[pc + 2] = ip;
-                            pc += 3;
-                            continue;
-                        }
-                    }
-                }
-                if h >= 1 && pc + 1 < body_len && !jt[pc + 1] {
-                    let kind = Bin::of_i32(&f.body[pc + 1])
-                        .map(|op| OpKind::ConstBinI32 { c: *v, op })
-                        .or_else(|| {
-                            Cmp::of_i32(&f.body[pc + 1])
-                                .map(|cmp| OpKind::ConstCmpI32 { c: *v, cmp })
-                        });
-                    if let Some(kind) = kind {
-                        // LHS is replaced by the result: height unchanged.
-                        ops.push(TapeOp {
-                            cost: pending + 2,
-                            kind,
-                        });
-                        pending = 0;
-                        pc_to_ip[pc + 1] = ops.len() as u32 - 1;
-                        pc += 2;
-                        continue;
-                    }
-                }
                 h += 1;
                 ops.push(TapeOp {
                     cost: pending + 1,
@@ -1065,69 +738,6 @@ fn lower_function(module: &Module, local_i: usize, targets: &[CtrlTarget]) -> Op
                 pending = 0;
             }
             Instr::I64Const(v) => {
-                if h >= 1 && pc + 2 < body_len && !jt[pc + 1] && !jt[pc + 2] {
-                    if let Some(cmp) = Cmp::of_i64(&f.body[pc + 1]) {
-                        let kind = match &f.body[pc + 2] {
-                            Instr::BrIf(l) => {
-                                let dest = resolve(*l, &ctrls, h - 1)?;
-                                h -= 1;
-                                Some(OpKind::ConstCmpBrI64 { c: *v, cmp, dest })
-                            }
-                            Instr::If(bt) => {
-                                let t = targets[pc + 2];
-                                let false_target = match t.else_pc {
-                                    Some(e) => e + 1,
-                                    None => t.end_pc + 1,
-                                };
-                                h -= 1;
-                                ctrls.push(CtrlFrame {
-                                    height: h,
-                                    bt_arity: bt.arity() as u32,
-                                    is_loop: false,
-                                    start_pc: (pc + 2) as u32,
-                                    end_pc: t.end_pc,
-                                    dead: false,
-                                });
-                                Some(OpKind::ConstCmpIfI64 {
-                                    c: *v,
-                                    cmp,
-                                    t: false_target,
-                                })
-                            }
-                            _ => None,
-                        };
-                        if let Some(kind) = kind {
-                            ops.push(TapeOp {
-                                cost: pending + 3,
-                                kind,
-                            });
-                            pending = 0;
-                            let ip = ops.len() as u32 - 1;
-                            pc_to_ip[pc + 1] = ip;
-                            pc_to_ip[pc + 2] = ip;
-                            pc += 3;
-                            continue;
-                        }
-                    }
-                }
-                if h >= 1 && pc + 1 < body_len && !jt[pc + 1] {
-                    let kind = Bin::of_i64(&f.body[pc + 1])
-                        .map(|op| OpKind::ConstBinI64 { c: *v, op })
-                        .or_else(|| {
-                            Cmp::of_i64(&f.body[pc + 1])
-                                .map(|cmp| OpKind::ConstCmpI64 { c: *v, cmp })
-                        });
-                    if let Some(kind) = kind {
-                        ops.push(TapeOp {
-                            cost: pending + 2,
-                            kind,
-                        });
-                        pending = 0;
-                        pc_to_ip[pc + 1] = ops.len() as u32 - 1;
-                        pc += 2;
-                        continue;
-                    }
-                }
                 h += 1;
                 ops.push(TapeOp {
                     cost: pending + 1,
@@ -1167,65 +777,19 @@ fn lower_function(module: &Module, local_i: usize, targets: &[CtrlTarget]) -> Op
                 } else {
                     // Pop address, push value: net zero.
                     h.checked_sub(1)?;
-                    let bytes = acc.bytes as u8;
-                    let mut signed = acc.signed;
-                    let mut ty = acc.val_type;
-                    let mut width = 1usize;
-                    // Fold a widening extend into the load itself
-                    // (`i32.load8_u; i64.extend_i32_u` is `i64.load8_u`).
-                    if pc + 1 < body_len && !jt[pc + 1] {
-                        if let Some((s2, t2)) = absorb_extend(bytes, signed, ty, &f.body[pc + 1]) {
-                            signed = s2;
-                            ty = t2;
-                            width = 2;
-                        }
-                    }
                     ops.push(TapeOp {
-                        cost: pending + width as u32,
+                        cost: pending + 1,
                         kind: OpKind::Load {
                             offset: m.offset,
-                            bytes,
-                            signed,
-                            ty,
+                            bytes: acc.bytes as u8,
+                            signed: acc.signed,
+                            ty: acc.val_type,
                         },
                     });
                     pending = 0;
-                    if width == 2 {
-                        pc_to_ip[pc + 1] = ops.len() as u32 - 1;
-                        pc += 2;
-                        continue;
-                    }
                 }
             }
             other => {
-                // Sink a non-trapping binary straight into `local.set/tee`:
-                // the accumulator-update idiom, one dispatch, no push.
-                if pc + 1 < body_len && !jt[pc + 1] {
-                    let wide = Bin::of_i64(other).is_some();
-                    if let Some(op) = Bin::of_i32(other).or_else(|| Bin::of_i64(other)) {
-                        let sink = match &f.body[pc + 1] {
-                            Instr::LocalSet(t) => {
-                                h = h.checked_sub(2)?;
-                                Some(OpKind::BinSet { wide, op, x: *t })
-                            }
-                            Instr::LocalTee(t) => {
-                                h = h.checked_sub(2)? + 1;
-                                Some(OpKind::BinTee { wide, op, x: *t })
-                            }
-                            _ => None,
-                        };
-                        if let Some(kind) = sink {
-                            ops.push(TapeOp {
-                                cost: pending + 2,
-                                kind,
-                            });
-                            pending = 0;
-                            pc_to_ip[pc + 1] = ops.len() as u32 - 1;
-                            pc += 2;
-                            continue;
-                        }
-                    }
-                }
                 match other.class() {
                     InstrClass::Unary => {
                         h.checked_sub(1)?;
@@ -1259,22 +823,8 @@ fn lower_function(module: &Module, local_i: usize, targets: &[CtrlTarget]) -> Op
     let fix = |t: u32| pc_to_ip[t as usize];
     for op in &mut ops {
         match &mut op.kind {
-            OpKind::Jump(t)
-            | OpKind::JumpIfZero(t)
-            | OpKind::GetGetCmpIfI32 { t, .. }
-            | OpKind::GetGetCmpIfI64 { t, .. }
-            | OpKind::GetConstCmpIfI32 { t, .. }
-            | OpKind::GetConstCmpIfI64 { t, .. }
-            | OpKind::ConstCmpIfI32 { t, .. }
-            | OpKind::ConstCmpIfI64 { t, .. } => *t = fix(*t),
+            OpKind::Jump(t) | OpKind::JumpIfZero(t) => *t = fix(*t),
             OpKind::Br(d) | OpKind::BrIf(d) => d.target = fix(d.target),
-            OpKind::GetGetCmpBrI32 { dest, .. }
-            | OpKind::GetGetCmpBrI64 { dest, .. }
-            | OpKind::GetConstCmpBrI32 { dest, .. }
-            | OpKind::GetConstCmpBrI64 { dest, .. }
-            | OpKind::ConstCmpBrI32 { dest, .. }
-            | OpKind::ConstCmpBrI64 { dest, .. }
-            | OpKind::LoopBackedgeI32 { dest, .. } => dest.target = fix(dest.target),
             _ => {}
         }
     }
@@ -1293,22 +843,8 @@ fn lower_function(module: &Module, local_i: usize, targets: &[CtrlTarget]) -> Op
     is_target[0] = true;
     for op in &ops {
         match &op.kind {
-            OpKind::Jump(t)
-            | OpKind::JumpIfZero(t)
-            | OpKind::GetGetCmpIfI32 { t, .. }
-            | OpKind::GetGetCmpIfI64 { t, .. }
-            | OpKind::GetConstCmpIfI32 { t, .. }
-            | OpKind::GetConstCmpIfI64 { t, .. }
-            | OpKind::ConstCmpIfI32 { t, .. }
-            | OpKind::ConstCmpIfI64 { t, .. } => is_target[*t as usize] = true,
+            OpKind::Jump(t) | OpKind::JumpIfZero(t) => is_target[*t as usize] = true,
             OpKind::Br(d) | OpKind::BrIf(d) => is_target[d.target as usize] = true,
-            OpKind::GetGetCmpBrI32 { dest, .. }
-            | OpKind::GetGetCmpBrI64 { dest, .. }
-            | OpKind::GetConstCmpBrI32 { dest, .. }
-            | OpKind::GetConstCmpBrI64 { dest, .. }
-            | OpKind::ConstCmpBrI32 { dest, .. }
-            | OpKind::ConstCmpBrI64 { dest, .. }
-            | OpKind::LoopBackedgeI32 { dest, .. } => is_target[dest.target as usize] = true,
             _ => {}
         }
     }
@@ -1341,68 +877,22 @@ fn lower_function(module: &Module, local_i: usize, targets: &[CtrlTarget]) -> Op
     })
 }
 
-/// Can `ext` be folded into a preceding load by widening the load's result
-/// type? Returns the `(signed, ty)` of the equivalent single load.
-///
-/// Sign-extension composes with a prior sign-extension (`load8_s` then
-/// `extend_i32_s` is `i64.load8_s`), and a zero-extended sub-word value is
-/// non-negative, so sign- and zero-extension agree on it. A full-width
-/// unsigned `i32.load` followed by `extend_i32_s`/`_u` is `i64.load32_s`/
-/// `_u`. The one illegal pairing — a signed sub-word load zero-extended —
-/// is excluded because the loaded i32 may be negative.
-fn absorb_extend(bytes: u8, signed: bool, ty: ValType, ext: &Instr) -> Option<(bool, ValType)> {
-    if ty != ValType::I32 {
+/// Try to fuse `local.get a; i1; i2` into a superinstruction: the operand
+/// restore `local.get a; local.get b; <binop or compare>` that the
+/// instrumenter emits before every logged binary. Its members can neither
+/// trap nor observe anything, so one op may charge all three ticks.
+fn fuse(a: u32, i1: &Instr, i2: &Instr) -> Option<OpKind> {
+    let Instr::LocalGet(b) = *i1 else {
         return None;
-    }
-    match ext {
-        Instr::I64ExtendI32S => Some((signed || bytes == 4, ValType::I64)),
-        Instr::I64ExtendI32U if !signed => Some((false, ValType::I64)),
-        _ => None,
-    }
-}
-
-/// Try to fuse `local.get x; i1; i2` into a superinstruction. Only windows
-/// whose members are all non-trapping and non-observable are eligible.
-fn fuse(x: u32, i1: &Instr, i2: &Instr) -> Option<OpKind> {
-    match i1 {
-        Instr::LocalGet(b) => {
-            if let Some(op) = Bin::of_i32(i2) {
-                Some(OpKind::GetGetBinI32 { a: x, b: *b, op })
-            } else if let Some(op) = Bin::of_i64(i2) {
-                Some(OpKind::GetGetBinI64 { a: x, b: *b, op })
-            } else if let Some(cmp) = Cmp::of_i32(i2) {
-                Some(OpKind::GetGetCmpI32 { a: x, b: *b, cmp })
-            } else {
-                Cmp::of_i64(i2).map(|cmp| OpKind::GetGetCmpI64 { a: x, b: *b, cmp })
-            }
-        }
-        Instr::I32Const(c) => Bin::of_i32(i2)
-            .map(|op| OpKind::GetConstBinI32 { x, c: *c, op })
-            .or_else(|| Cmp::of_i32(i2).map(|cmp| OpKind::GetConstCmpI32 { x, c: *c, cmp })),
-        Instr::I64Const(c) => Bin::of_i64(i2)
-            .map(|op| OpKind::GetConstBinI64 { x, c: *c, op })
-            .or_else(|| Cmp::of_i64(i2).map(|cmp| OpKind::GetConstCmpI64 { x, c: *c, cmp })),
-        _ => None,
-    }
-}
-
-/// The second operand of a four-wide compare-and-branch window.
-enum Rhs {
-    Local(u32),
-    K32(i32),
-    K64(i64),
-}
-
-/// Match the `<rhs>; <cmp>` tail of a `local.get`-led window: returns the
-/// RHS producer and comparison, with `wide` selecting the i64 flavor.
-fn cmp_window(i1: &Instr, i2: &Instr) -> Option<(Rhs, Cmp, bool)> {
-    match i1 {
-        Instr::LocalGet(b) => Cmp::of_i32(i2)
-            .map(|c| (Rhs::Local(*b), c, false))
-            .or_else(|| Cmp::of_i64(i2).map(|c| (Rhs::Local(*b), c, true))),
-        Instr::I32Const(k) => Cmp::of_i32(i2).map(|c| (Rhs::K32(*k), c, false)),
-        Instr::I64Const(k) => Cmp::of_i64(i2).map(|c| (Rhs::K64(*k), c, true)),
-        _ => None,
+    };
+    if let Some(op) = Bin::of_i32(i2) {
+        Some(OpKind::GetGetBinI32 { a, b, op })
+    } else if let Some(op) = Bin::of_i64(i2) {
+        Some(OpKind::GetGetBinI64 { a, b, op })
+    } else if let Some(cmp) = Cmp::of_i32(i2) {
+        Some(OpKind::GetGetCmpI32 { a, b, cmp })
+    } else {
+        Cmp::of_i64(i2).map(|cmp| OpKind::GetGetCmpI64 { a, b, cmp })
     }
 }
 
@@ -1448,21 +938,7 @@ fn ends_batch(kind: &OpKind) -> bool {
         | OpKind::CallIndirect(_)
         | OpKind::MemoryGrow
         | OpKind::Load { .. }
-        | OpKind::Store { .. }
-        | OpKind::GetGetCmpBrI32 { .. }
-        | OpKind::GetGetCmpBrI64 { .. }
-        | OpKind::GetConstCmpBrI32 { .. }
-        | OpKind::GetConstCmpBrI64 { .. }
-        | OpKind::ConstCmpBrI32 { .. }
-        | OpKind::ConstCmpBrI64 { .. }
-        | OpKind::GetGetCmpIfI32 { .. }
-        | OpKind::GetGetCmpIfI64 { .. }
-        | OpKind::GetConstCmpIfI32 { .. }
-        | OpKind::GetConstCmpIfI64 { .. }
-        | OpKind::ConstCmpIfI32 { .. }
-        | OpKind::ConstCmpIfI64 { .. }
-        | OpKind::LoopBackedgeI32 { .. }
-        | OpKind::IdxLoad { .. } => true,
+        | OpKind::Store { .. } => true,
         OpKind::Num(i) => num_can_trap(i),
         _ => false,
     }
@@ -1706,174 +1182,6 @@ pub(crate) fn run(
                         let y = frame.locals[*b as usize].as_i64();
                         frame.stack.push(Value::I32(cmp.eval_i64(x, y) as i32));
                     }
-                    OpKind::GetConstBinI32 { x, c, op } => {
-                        let v = frame.locals[*x as usize].as_i32();
-                        frame.stack.push(Value::I32(op.eval_i32(v, *c)));
-                    }
-                    OpKind::GetConstBinI64 { x, c, op } => {
-                        let v = frame.locals[*x as usize].as_i64();
-                        frame.stack.push(Value::I64(op.eval_i64(v, *c)));
-                    }
-                    OpKind::GetConstCmpI32 { x, c, cmp } => {
-                        let v = frame.locals[*x as usize].as_i32();
-                        frame.stack.push(Value::I32(cmp.eval_i32(v, *c) as i32));
-                    }
-                    OpKind::GetConstCmpI64 { x, c, cmp } => {
-                        let v = frame.locals[*x as usize].as_i64();
-                        frame.stack.push(Value::I32(cmp.eval_i64(v, *c) as i32));
-                    }
-                    OpKind::ConstBinI32 { c, op } => {
-                        let a = pop!().as_i32();
-                        frame.stack.push(Value::I32(op.eval_i32(a, *c)));
-                    }
-                    OpKind::ConstBinI64 { c, op } => {
-                        let a = pop!().as_i64();
-                        frame.stack.push(Value::I64(op.eval_i64(a, *c)));
-                    }
-                    OpKind::ConstCmpI32 { c, cmp } => {
-                        let a = pop!().as_i32();
-                        frame.stack.push(Value::I32(cmp.eval_i32(a, *c) as i32));
-                    }
-                    OpKind::ConstCmpI64 { c, cmp } => {
-                        let a = pop!().as_i64();
-                        frame.stack.push(Value::I32(cmp.eval_i64(a, *c) as i32));
-                    }
-                    OpKind::GetGetCmpBrI32 { a, b, cmp, dest } => {
-                        let x = frame.locals[*a as usize].as_i32();
-                        let y = frame.locals[*b as usize].as_i32();
-                        if cmp.eval_i32(x, y) {
-                            adjust(&mut frame.stack, dest.trunc as usize, dest.keep as usize);
-                            next_ip = dest.target as usize;
-                        }
-                    }
-                    OpKind::GetGetCmpBrI64 { a, b, cmp, dest } => {
-                        let x = frame.locals[*a as usize].as_i64();
-                        let y = frame.locals[*b as usize].as_i64();
-                        if cmp.eval_i64(x, y) {
-                            adjust(&mut frame.stack, dest.trunc as usize, dest.keep as usize);
-                            next_ip = dest.target as usize;
-                        }
-                    }
-                    OpKind::GetConstCmpBrI32 { x, c, cmp, dest } => {
-                        let v = frame.locals[*x as usize].as_i32();
-                        if cmp.eval_i32(v, *c) {
-                            adjust(&mut frame.stack, dest.trunc as usize, dest.keep as usize);
-                            next_ip = dest.target as usize;
-                        }
-                    }
-                    OpKind::GetConstCmpBrI64 { x, c, cmp, dest } => {
-                        let v = frame.locals[*x as usize].as_i64();
-                        if cmp.eval_i64(v, *c) {
-                            adjust(&mut frame.stack, dest.trunc as usize, dest.keep as usize);
-                            next_ip = dest.target as usize;
-                        }
-                    }
-                    OpKind::ConstCmpBrI32 { c, cmp, dest } => {
-                        let a = pop!().as_i32();
-                        if cmp.eval_i32(a, *c) {
-                            adjust(&mut frame.stack, dest.trunc as usize, dest.keep as usize);
-                            next_ip = dest.target as usize;
-                        }
-                    }
-                    OpKind::ConstCmpBrI64 { c, cmp, dest } => {
-                        let a = pop!().as_i64();
-                        if cmp.eval_i64(a, *c) {
-                            adjust(&mut frame.stack, dest.trunc as usize, dest.keep as usize);
-                            next_ip = dest.target as usize;
-                        }
-                    }
-                    OpKind::GetGetCmpIfI32 { a, b, cmp, t } => {
-                        let x = frame.locals[*a as usize].as_i32();
-                        let y = frame.locals[*b as usize].as_i32();
-                        if !cmp.eval_i32(x, y) {
-                            next_ip = *t as usize;
-                        }
-                    }
-                    OpKind::GetGetCmpIfI64 { a, b, cmp, t } => {
-                        let x = frame.locals[*a as usize].as_i64();
-                        let y = frame.locals[*b as usize].as_i64();
-                        if !cmp.eval_i64(x, y) {
-                            next_ip = *t as usize;
-                        }
-                    }
-                    OpKind::GetConstCmpIfI32 { x, c, cmp, t } => {
-                        let v = frame.locals[*x as usize].as_i32();
-                        if !cmp.eval_i32(v, *c) {
-                            next_ip = *t as usize;
-                        }
-                    }
-                    OpKind::GetConstCmpIfI64 { x, c, cmp, t } => {
-                        let v = frame.locals[*x as usize].as_i64();
-                        if !cmp.eval_i64(v, *c) {
-                            next_ip = *t as usize;
-                        }
-                    }
-                    OpKind::ConstCmpIfI32 { c, cmp, t } => {
-                        let a = pop!().as_i32();
-                        if !cmp.eval_i32(a, *c) {
-                            next_ip = *t as usize;
-                        }
-                    }
-                    OpKind::ConstCmpIfI64 { c, cmp, t } => {
-                        let a = pop!().as_i64();
-                        if !cmp.eval_i64(a, *c) {
-                            next_ip = *t as usize;
-                        }
-                    }
-                    OpKind::BinSet { wide, op, x } => {
-                        let b = pop!();
-                        let a = pop!();
-                        frame.locals[*x as usize] = if *wide {
-                            Value::I64(op.eval_i64(a.as_i64(), b.as_i64()))
-                        } else {
-                            Value::I32(op.eval_i32(a.as_i32(), b.as_i32()))
-                        };
-                    }
-                    OpKind::BinTee { wide, op, x } => {
-                        let b = pop!();
-                        let a = pop!();
-                        let v = if *wide {
-                            Value::I64(op.eval_i64(a.as_i64(), b.as_i64()))
-                        } else {
-                            Value::I32(op.eval_i32(a.as_i32(), b.as_i32()))
-                        };
-                        frame.locals[*x as usize] = v;
-                        frame.stack.push(v);
-                    }
-                    OpKind::LoopBackedgeI32 {
-                        x,
-                        s,
-                        op,
-                        tee,
-                        n,
-                        cmp,
-                        dest,
-                    } => {
-                        let v = op.eval_i32(frame.locals[*x as usize].as_i32(), *s);
-                        frame.locals[*tee as usize] = Value::I32(v);
-                        if cmp.eval_i32(v, *n) {
-                            adjust(&mut frame.stack, dest.trunc as usize, dest.keep as usize);
-                            next_ip = dest.target as usize;
-                        }
-                    }
-                    OpKind::IdxLoad {
-                        x,
-                        c,
-                        op,
-                        k,
-                        offset,
-                        bytes,
-                        signed,
-                        ty,
-                    } => {
-                        let idx = op.eval_i32(frame.locals[*x as usize].as_i32(), *c);
-                        let base = k.wrapping_add(idx) as u32 as u64;
-                        let addr = base + *offset as u64;
-                        let raw = tri!(inst.mem.load_uint(addr, *bytes as u32));
-                        frame
-                            .stack
-                            .push(numeric::extend_loaded(raw, *bytes as u32, *signed, *ty));
-                    }
                     OpKind::Num(instr) => tri!(numeric::exec(instr, &mut frame.stack)),
                 }
                 ip = next_ip;
@@ -1932,9 +1240,10 @@ mod tests {
     }
 
     #[test]
-    fn loop_with_fused_windows_matches_reference() {
-        // Sums 1..=n with `local.get`+`i32.const`+`i32.add` windows the
-        // fuser collapses; exercises loop back-edges and charge flushes.
+    fn counting_loop_matches_reference() {
+        // Sums 1..=n: a `local.get; local.get; i32.add` window, a
+        // `local.get; i32.const; i32.add` decrement, loop back-edges and
+        // charge flushes.
         let mut b = ModuleBuilder::new();
         let f = b.func(
             &[I32],
@@ -2103,11 +1412,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_compare_and_branch_matches_reference() {
+    fn compare_and_branch_matches_reference() {
         // The sdk_work byte-mix shape: a loop whose backedge is a
-        // `local.get; i32.const; i32.lt_u; br_if` window and whose body is
-        // dense with const/bin fusions — exercises GetConstCmpBr, ConstBin,
-        // GetGetBin and fuel batching across the backedge target.
+        // `local.tee; local.get; i32.lt_u; br_if` guard and whose body mixes
+        // `local.get; i64.const; i64.mul` with stack-fed binaries, swept
+        // across the backedge target's fuel batching.
         let mut b = ModuleBuilder::new();
         let f = b.func(
             &[I32],
@@ -2139,10 +1448,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_compare_and_if_matches_reference() {
+    fn compare_and_if_matches_reference() {
         // Dispatcher shape: `local.get; i64.const; i64.eq; if` plus a
-        // guard `local.get; local.get; i64.ne; if` — exercises
-        // GetConstCmpIf/GetGetCmpIf on both taken and not-taken arms.
+        // guard `local.get; local.get; i64.ne; if`, on both taken and
+        // not-taken arms.
         let mut b = ModuleBuilder::new();
         let f = b.func(
             &[I64, I64],
@@ -2178,8 +1487,8 @@ mod tests {
 
     #[test]
     fn const_folded_windows_match_reference() {
-        // Stack-LHS const windows: `i32.const; i32.and` (ConstBin),
-        // `i64.const; i64.gt_s; br_if` (ConstCmpBr) and a trapping div as a
+        // Stack-fed binaries with a constant right operand: `i32.const;
+        // i32.and`, `i64.const; i64.gt_s; br_if`, and a trapping div as a
         // batch-final op, swept over every fuel budget.
         let mut b = ModuleBuilder::new();
         let f = b.func(
@@ -2218,10 +1527,11 @@ mod tests {
     #[test]
     fn backedge_sink_and_idx_load_windows_match_reference() {
         // The full SDK byte-mix loop: `acc = acc*k ^ mem[16 + (i & 63)];
-        // i += 1; if i < n continue` — per iteration this lowers to four
-        // ops (GetConstBin, IdxLoad with an absorbed extend, BinSet wide,
-        // LoopBackedgeI32). The prologue exercises the narrow BinSet and
-        // the epilogue the wide BinTee, swept over every fuel budget.
+        // i += 1; if i < n continue` — a masked indexed load with a
+        // widening extend, a binary stored by `local.set` and a counted
+        // backedge. The prologue stores a narrow binary with `local.set`
+        // and the epilogue a wide one with `local.tee`, swept over every
+        // fuel budget.
         use wasai_wasm::instr::MemArg;
         let mut b = ModuleBuilder::with_memory(1);
         b.data(16, (0u8..64).map(|i| i.wrapping_mul(37) ^ 0x5a).collect());
@@ -2230,7 +1540,7 @@ mod tests {
             &[I64],
             &[I32, I64, I32],
             vec![
-                // scratch3 = eqz(i) + i — a stack-fed i32 add sunk by BinSet.
+                // scratch3 = eqz(i) + i — a stack-fed i32 add, then local.set.
                 Instr::LocalGet(1),
                 Instr::I32Eqz,
                 Instr::LocalGet(1),
@@ -2259,7 +1569,7 @@ mod tests {
                 Instr::I32LtU,
                 Instr::BrIf(0),
                 Instr::End,
-                // acc*k2 + acc — the trailing add is stack-fed, sunk by BinTee.
+                // acc*k2 + acc — the trailing add is stack-fed, then local.tee.
                 Instr::LocalGet(2),
                 Instr::I64Const(0x9e37),
                 Instr::I64Mul,
@@ -2276,9 +1586,8 @@ mod tests {
     #[test]
     fn load_extend_absorption_matches_reference() {
         // Every load/extend pairing over bytes that exercise the sign bit,
-        // including the non-absorbable `i32.load8_s; i64.extend_i32_u`
-        // (the loaded byte is negative, so zero- and sign-extension
-        // genuinely differ and the pair must stay two ops).
+        // including `i32.load8_s; i64.extend_i32_u`, where the loaded byte
+        // is negative, so zero- and sign-extension genuinely differ.
         use wasai_wasm::instr::MemArg;
         let cases = vec![
             (Instr::I32Load8S(MemArg::offset(0)), Instr::I64ExtendI32S),
@@ -2324,7 +1633,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_toggles_off_for_reference_compiles() {
+    fn compile_builds_tapes_and_compile_reference_does_not() {
         let mut b = ModuleBuilder::new();
         let f = b.func(&[], &[I32], &[], vec![Instr::I32Const(1), Instr::End]);
         b.export_func("apply", f);

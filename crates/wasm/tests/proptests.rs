@@ -1,8 +1,12 @@
 //! Property tests over randomly generated (valid-by-construction) modules:
 //! the binary format round-trips, the validator accepts what the generator
-//! builds, and instrumentation preserves behaviour bit for bit.
+//! builds, instrumentation preserves behaviour bit for bit, and the VM's
+//! compiled tape agrees with its reference interpreter.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
+use wasai_vm::{CompiledModule, Fuel, Host, HostFnId, Instance, TraceRecord, Trap, Value};
 
 use wasai_wasm::builder::ModuleBuilder;
 use wasai_wasm::instr::Instr;
@@ -25,6 +29,7 @@ enum Step {
     Popcnt,
     Eqz,
     EqConst(i64),
+    LtUParams,
     IfNonZero,
 }
 
@@ -43,7 +48,21 @@ fn arb_step() -> impl Strategy<Value = Step> {
         Just(Step::Popcnt),
         Just(Step::Eqz),
         any::<i64>().prop_map(Step::EqConst),
+        Just(Step::LtUParams),
         Just(Step::IfNonZero),
+    ]
+}
+
+/// A call argument: uniform, or one of the edge values 0, 1, -1, MIN and
+/// MAX, so that two arguments are often equal.
+fn arb_arg() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        any::<i64>(),
+        Just(0),
+        Just(1),
+        Just(-1),
+        Just(i64::MIN),
+        Just(i64::MAX),
     ]
 }
 
@@ -93,6 +112,14 @@ fn build_module(steps: &[Step]) -> Module {
                 body.push(Instr::I64Eq);
                 body.push(Instr::I64ExtendI32U);
             }
+            Step::LtUParams => {
+                // The `local.get; local.get; <cmp>` window the tape fuses.
+                body.push(Instr::LocalGet(0));
+                body.push(Instr::LocalGet(1));
+                body.push(Instr::I64LtU);
+                body.push(Instr::I64ExtendI32U);
+                depth += 1;
+            }
             Step::IfNonZero => {
                 // if (top != 0) { top *= 2 } — consumes and restores depth.
                 body.push(Instr::LocalSet(2));
@@ -126,50 +153,65 @@ fn build_module(steps: &[Step]) -> Module {
     b.build()
 }
 
-fn run(module: Module, a: i64, b_arg: i64, trace: bool) -> i64 {
-    use wasai_vm::{CompiledModule, Fuel, Host, HostFnId, Instance, Value};
+/// Records the hook calls of an instrumented module; plain modules import
+/// nothing, so it is never called for them.
+struct HookHost(wasai_vm::TraceSink);
 
-    struct H(wasai_vm::TraceSink);
-    impl Host for H {
-        fn resolve(
-            &mut self,
-            module: &str,
-            name: &str,
-            _ty: &wasai_wasm::types::FuncType,
-        ) -> Option<HostFnId> {
-            wasai_vm::host::hooks::hook_offset(module, name).map(HostFnId)
-        }
-        fn call(
-            &mut self,
-            id: HostFnId,
-            args: &[Value],
-            _mem: &mut wasai_vm::LinearMemory,
-        ) -> Result<Option<Value>, wasai_vm::Trap> {
-            wasai_vm::host::hooks::dispatch(&mut self.0, id.0, args);
-            Ok(None)
-        }
+impl Host for HookHost {
+    fn resolve(
+        &mut self,
+        module: &str,
+        name: &str,
+        _ty: &wasai_wasm::types::FuncType,
+    ) -> Option<HostFnId> {
+        wasai_vm::host::hooks::hook_offset(module, name).map(HostFnId)
     }
+    fn call(
+        &mut self,
+        id: HostFnId,
+        args: &[Value],
+        _mem: &mut wasai_vm::LinearMemory,
+    ) -> Result<Option<Value>, Trap> {
+        wasai_vm::host::hooks::dispatch(&mut self.0, id.0, args);
+        Ok(None)
+    }
+}
 
+/// `module`, instrumented when `trace` is set, compiled to tapes (`fast`)
+/// or for the reference interpreter only.
+fn compile(module: &Module, trace: bool, fast: bool) -> Arc<CompiledModule> {
     let module = if trace {
-        wasai_wasm::instrument::instrument(&module)
+        wasai_wasm::instrument::instrument(module)
             .expect("instrumentable")
             .module
     } else {
-        module
+        module.clone()
     };
-    let compiled = CompiledModule::compile(module).expect("compiles");
-    let mut host = H(wasai_vm::TraceSink::new());
-    let mut inst = Instance::new(compiled, &mut host).expect("instantiates");
-    let mut fuel = Fuel(10_000_000);
-    let r = inst
-        .invoke_export(
-            &mut host,
-            "f",
-            &[Value::I64(a), Value::I64(b_arg)],
-            &mut fuel,
-        )
-        .expect("trap-free by construction");
-    r[0].as_i64()
+    if fast {
+        CompiledModule::compile(module).expect("compiles")
+    } else {
+        CompiledModule::compile_reference(module).expect("compiles")
+    }
+}
+
+/// One `f(a, b)` call with `budget` fuel: its result or trap, the fuel left
+/// and the hook trace.
+fn invoke(
+    compiled: &Arc<CompiledModule>,
+    a: i64,
+    b: i64,
+    budget: u64,
+) -> (Result<Vec<Value>, Trap>, Fuel, Vec<TraceRecord>) {
+    let mut host = HookHost(wasai_vm::TraceSink::new());
+    let mut inst = Instance::new(compiled.clone(), &mut host).expect("instantiates");
+    let mut fuel = Fuel(budget);
+    let r = inst.invoke_export(&mut host, "f", &[Value::I64(a), Value::I64(b)], &mut fuel);
+    (r, fuel, host.0.take())
+}
+
+fn run(module: Module, a: i64, b: i64, trace: bool) -> i64 {
+    let (r, _, _) = invoke(&compile(&module, trace, true), a, b, 10_000_000);
+    r.expect("trap-free by construction")[0].as_i64()
 }
 
 proptest! {
@@ -196,6 +238,33 @@ proptest! {
         let plain = run(m.clone(), a, b, false);
         let traced = run(m, a, b, true);
         prop_assert_eq!(plain, traced);
+    }
+
+    /// The compiled tape is bit-exact against the reference interpreter on
+    /// plain and instrumented modules: the same result or trap, the same
+    /// fuel left and the same trace at every budget from zero to one past
+    /// what the call needs, so every fuel batch is cut at every op.
+    #[test]
+    fn tape_matches_reference(
+        steps in prop::collection::vec(arb_step(), 0..30),
+        a in arb_arg(),
+        b in arb_arg(),
+    ) {
+        let m = build_module(&steps);
+        for trace in [false, true] {
+            let fast = compile(&m, trace, true);
+            prop_assert!(fast.has_fast_path(), "lowering bailed");
+            let refr = compile(&m, trace, false);
+            let (_, Fuel(left), _) = invoke(&refr, a, b, u64::MAX);
+            let need = u64::MAX - left;
+            for budget in 0..=need + 1 {
+                prop_assert_eq!(
+                    invoke(&fast, a, b, budget),
+                    invoke(&refr, a, b, budget),
+                    "trace {} budget {} of {}", trace, budget, need
+                );
+            }
+        }
     }
 
     /// The instrumented module still validates, whatever the program.
